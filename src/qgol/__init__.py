@@ -38,7 +38,6 @@ from .hamiltonian import (
     alive_neighbors,
     apply_hamiltonian,
     build_hamiltonian,
-    couplings_to_csv,
     dense_hamiltonian,
     energy_expectation,
     frozen_sector,

@@ -10,48 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .runner import KINDS, MEASURES, RunConfig, run
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("measures",):
-        names = tuple(v.strip() for v in raw.split(",") if v.strip())
-        return tuple(MEASURES) if names == ("all",) else names
-    if key in ("window",):
-        parts = [float(v) for v in raw.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"window needs two comma-separated times, got {raw!r}")
-        return (parts[0], parts[1])
-    if key in ("concurrence_distances", "bonds"):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if key in ("initial", "out_dir", "kind"):
-        return raw
-    if key in ("L", "sample_every", "steps", "samples", "seed", "workers", "period", "k0", "q_max"):
-        return int(raw)
-    if key in ("rho0", "t_max", "dt", "hopping", "tolerance"):
-        return float(raw)
-    raise ValueError(f"unknown config key {key!r}")
-
-
-def read_config_file(path: str) -> dict:
-    """Parse a `key = value` text file; '#' starts a comment."""
-    values = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = _parse_value(key, raw)
-    return values
-
 
 _FLAGS = {
     "--length": ("L", int, "lattice size L"),
@@ -75,6 +35,42 @@ _FLAGS = {
     "--qmax": ("q_max", int, "largest denominator considered rational"),
     "--tolerance": ("tolerance", float, "continued-fraction termination tolerance"),
 }
+
+#: Type of every config key; the structured ones are parsed in `_parse_value`.
+_KEY_TYPES = {"kind": str, **{dest: type_ for dest, type_, _ in _FLAGS.values()}}
+
+
+def _parse_value(key: str, raw: str):
+    raw = raw.strip()
+    if key == "measures":
+        names = tuple(v.strip() for v in raw.split(",") if v.strip())
+        return tuple(MEASURES) if names == ("all",) else names
+    if key == "window":
+        parts = [float(v) for v in raw.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"window needs two comma-separated times, got {raw!r}")
+        return (parts[0], parts[1])
+    if key in ("concurrence_distances", "bonds"):
+        return tuple(int(v) for v in raw.split(",") if v.strip())
+    if key not in _KEY_TYPES:
+        raise ValueError(f"unknown config key {key!r}")
+    return _KEY_TYPES[key](raw)
+
+
+def read_config_file(path: str) -> dict:
+    """Parse a `key = value` text file; '#' starts a comment."""
+    values = {}
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            values[key] = _parse_value(key, raw)
+    return values
+
 
 _STRING_PARSED = ("measures", "window", "concurrence_distances", "bonds")
 

@@ -13,12 +13,16 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hamiltonian import SparseHamiltonian, alive_neighbors, frozen_sector
 from .lattice import SpinConfig, StateVector, config_from_index, fock_index
 
 #: Integration aborts when a sampled state drifts this far from unit norm.
 NORM_ABORT = 1e-4
+
+#: Largest lattice `evolve_exact` diagonalizes (a 1024-dimensional block).
+EXACT_MAX_SITES = 14
 
 #: Discrete step duration used when classical steps share a time axis with
 #: the continuous evolution (the swap time of a single spin).
@@ -77,16 +81,11 @@ def classical_trajectory(config: SpinConfig, n_steps: int) -> ClassicalTrajector
     return ClassicalTrajectory(steps=steps)
 
 
-def _single_sector(amps: np.ndarray, L: int):
-    """Boundary occupations if the state lives in one frozen sector, else None."""
+def _touched_sectors(h: SparseHamiltonian, amps: np.ndarray) -> list:
+    """`frozen_sector` (indices, block) of every boundary sector ``amps`` has weight in."""
     nz = np.flatnonzero(amps)
-    if nz.size == 0:
-        return None
-    low = nz & 3
-    high = nz >> (L - 2)
-    if np.all(low == low[0]) and np.all(high == high[0]):
-        return int(low[0]), int(high[0])
-    return None
+    sectors = np.unique((nz & 3) | ((nz >> (h.L - 2)) << 2))  # low | high << 2
+    return [frozen_sector(h, int(s) & 3, int(s) >> 2) for s in sectors]
 
 
 def evolve_rk4(
@@ -97,7 +96,6 @@ def evolve_rk4(
     sample_every: int = 1,
     observer=None,
     keep_states: bool = True,
-    use_frozen_sector: bool = True,
 ) -> Trajectory:
     """Fixed-step fourth-order integration of i d/dt psi = H psi.
 
@@ -107,11 +105,11 @@ def evolve_rk4(
     collected in ``Trajectory.records``.  With ``keep_states=False`` the
     snapshots themselves are discarded (memory bound: one 2**L vector).
 
-    When the initial state is confined to a single frozen-boundary sector
-    (every Fock state is), the integration runs on the 2**(L-4) dimensional
-    block of H, which is exact: the remaining amplitudes are zero and stay
-    zero under the block-diagonal H.  ``use_frozen_sector=False`` forces
-    the full-space path.
+    The integration runs only on the frozen-boundary sectors the initial
+    state has weight in, which is exact: H is block diagonal over them, so
+    the remaining amplitudes are zero and stay zero.  A Fock state lies in
+    one 2**(L-4) dimensional block; a superposition across boundary
+    patterns evolves under the direct sum of its blocks.
 
     Raises
     ------
@@ -140,13 +138,10 @@ def evolve_rk4(
     if remainder < 1e-12 * max(1.0, t_max):
         remainder = 0.0
     n_steps = n_full + (1 if remainder else 0)
-    sector = _single_sector(initial.amplitudes, h.L) if use_frozen_sector else None
-    if sector is not None:
-        indices, matrix = frozen_sector(h, *sector)
-        psi = initial.amplitudes[indices].copy()
-    else:
-        indices, matrix = None, h.matrix
-        psi = initial.amplitudes.copy()
+    blocks = _touched_sectors(h, initial.amplitudes)
+    indices = np.concatenate([idx for idx, _ in blocks])
+    matrix = sp.block_diag([block for _, block in blocks], format="csr")
+    psi = initial.amplitudes[indices]
 
     def rhs(v):
         # -i H v via two real products (matrix data is real)
@@ -160,20 +155,17 @@ def evolve_rk4(
     def take_snapshot(step: int, vec: np.ndarray):
         nonlocal drift
         t = t_max if (remainder and step == n_steps) else step * dt
-        nrm = float(np.linalg.norm(vec))
-        drift = max(drift, abs(nrm - 1.0))
-        if abs(nrm - 1.0) > NORM_ABORT:
+        error = abs(float(np.linalg.norm(vec)) - 1.0)
+        if not error <= NORM_ABORT:  # a NaN or infinite norm fails too
             raise IntegrationError(
-                f"norm drift {abs(nrm - 1.0):.3e} at t = {t:.4g} exceeds "
+                f"norm drift {error:.3e} at t = {t:.4g} exceeds "
                 f"{NORM_ABORT:.0e}; reduce dt (currently {dt})"
             )
+        drift = max(drift, error)
         times.append(t)
         if keep_states or observer is not None:
-            if indices is not None:
-                full = np.zeros(h.dim, dtype=complex)
-                full[indices] = vec
-            else:
-                full = vec.copy()
+            full = np.zeros(h.dim, dtype=complex)
+            full[indices] = vec
             snapshot = StateVector(full, norm_tol=2 * NORM_ABORT)
             if keep_states:
                 states.append(snapshot)
@@ -203,14 +195,17 @@ def evolve_rk4(
 def evolve_exact(h: SparseHamiltonian, initial: StateVector, t: float) -> StateVector:
     """exp(-i H t) |psi> by dense diagonalization; the integrator oracle.
 
-    Limited to L <= 10 where the 2**L x 2**L eigenproblem is cheap.
+    Each frozen-boundary block the state touches is diagonalized on its
+    own.  Limited to L <= 14, where a block is 1024-dimensional.
     """
-    if h.L > 10:
-        raise ValueError("dense propagation limited to L <= 10")
+    if h.L > EXACT_MAX_SITES:
+        raise ValueError(f"dense propagation limited to L <= {EXACT_MAX_SITES}")
     if initial.dim != h.dim:
         raise ValueError(f"dimension mismatch: state {initial.dim}, H {h.dim}")
-    w, basis = np.linalg.eigh(h.matrix.toarray())
-    amps = basis @ (np.exp(-1j * w * t) * (basis.T @ initial.amplitudes))
+    amps = np.zeros(h.dim, dtype=complex)
+    for indices, block in _touched_sectors(h, initial.amplitudes):
+        w, basis = np.linalg.eigh(block.toarray())
+        amps[indices] = basis @ (np.exp(-1j * w * t) * (basis.T @ initial.amplitudes[indices]))
     return StateVector(amps, norm_tol=1e-8)
 
 

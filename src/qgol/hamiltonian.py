@@ -3,9 +3,10 @@
 Two basis configurations are coupled, with unit matrix element, exactly
 when they differ at one bulk site i in [3, L-2] whose four nearest and
 next-nearest neighbours contain two or three alive cells.  Sites 1, 2,
-L-1 and L never flip, so their occupation is a constant of motion.
+L-1 and L never flip, so H splits into 16 frozen-boundary blocks.
 
-The production operator is pure structure (all couplings equal 1) held in
+The rule is enumerated once, block by block; the full operator is their
+direct sum.  Both are pure structure (all couplings equal 1) held in
 row-sorted sparse form; `dense_hamiltonian` re-assembles the same operator
 from the literal projector products as an independent test oracle.
 """
@@ -20,12 +21,15 @@ import scipy.sparse as sp
 
 from .lattice import MIN_SITES, SpinConfig, _amplitudes
 
-_PROJ_ALIVE = np.array([[0.0, 0.0], [0.0, 1.0]])
-_PROJ_DEAD = np.array([[1.0, 0.0], [0.0, 0.0]])
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 #: Largest lattice the dense oracle assembly will attempt.
 DENSE_MAX_SITES = 10
+
+
+def _neighbour_count(bits, site: int):
+    """Alive cells among sites site-2, site-1, site+1, site+2; ``bits[j]`` is site j+1."""
+    return bits[site - 3] + bits[site - 2] + bits[site] + bits[site + 1]
 
 
 def alive_neighbors(config: SpinConfig, i: int) -> int:
@@ -36,8 +40,7 @@ def alive_neighbors(config: SpinConfig, i: int) -> int:
     L = config.L
     if not 3 <= i <= L - 2:
         raise ValueError(f"site {i} outside the bulk range [3, {L - 2}]")
-    b = config.bits
-    return b[i - 3] + b[i - 2] + b[i] + b[i + 1]
+    return _neighbour_count(config.bits, i)
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,6 @@ class SparseHamiltonian:
     def n_couplings(self) -> int:
         return self.matrix.nnz
 
-    def couplings(self) -> tuple[np.ndarray, np.ndarray]:
-        """All ordered coupling pairs as (rows, cols) arrays."""
-        coo = self.matrix.tocoo()
-        return coo.row.copy(), coo.col.copy()
-
     def to_dense(self) -> np.ndarray:
         if self.L > DENSE_MAX_SITES:
             raise ValueError(f"refusing dense conversion above L = {DENSE_MAX_SITES}")
@@ -67,31 +65,20 @@ class SparseHamiltonian:
 
 
 def build_hamiltonian(L: int) -> SparseHamiltonian:
-    """Enumerate all (configuration, bulk site) flip couplings for ``L`` sites.
+    """The full 2**L operator, assembled from the 16 frozen-boundary blocks.
 
-    For every basis index and every site i in [3, L-2] whose neighbourhood
-    holds 2 or 3 alive cells, the pair (index, index with bit i flipped)
-    becomes a coupling.  Construction is vectorized over the basis,
-    O(2**L * L) time.
+    The blocks hand over their couplings as basis indices and never
+    overlap, so the result is the same row-sorted structure as a direct
+    enumeration over all 2**L configurations.
     """
     if L < MIN_SITES:
         raise ValueError(f"lattice needs at least {MIN_SITES} sites, got {L}")
-    dim = 1 << L
-    idx = np.arange(dim, dtype=np.int64)
-    bits = [((idx >> j) & 1).astype(np.int8) for j in range(L)]
     rows, cols = [], []
-    for site in range(3, L - 1):  # bulk sites 3 .. L-2; site s lives at bit s-1
-        nb = bits[site - 3] + bits[site - 2] + bits[site] + bits[site + 1]
-        hit = (nb == 2) | (nb == 3)
-        r = idx[hit]
-        rows.append(r)
-        cols.append(r ^ (1 << (site - 1)))
-    row = np.concatenate(rows)
-    col = np.concatenate(cols)
-    matrix = sp.coo_matrix(
-        (np.ones(row.size), (row, col)), shape=(dim, dim)
-    ).tocsr()
-    return SparseHamiltonian(L=L, matrix=matrix)
+    for low_bits, high_bits in itertools.product(range(4), repeat=2):
+        _, sector_rows, sector_cols = _sector_couplings(L, low_bits, high_bits)
+        rows += sector_rows
+        cols += sector_cols
+    return SparseHamiltonian(L=L, matrix=_structure(rows, cols, 1 << L))
 
 
 def apply_hamiltonian(h: SparseHamiltonian, state) -> np.ndarray:
@@ -149,26 +136,43 @@ def dense_hamiltonian(L: int) -> np.ndarray:
     return H
 
 
-def couplings_to_csv(h: SparseHamiltonian, path) -> None:
-    """Diagnostic dump of the coupling list as (row, col) CSV rows."""
-    rows, cols = h.couplings()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("row,col\n")
-        for r, c in zip(rows, cols):
-            f.write(f"{r},{c}\n")
+def _sector_couplings(L: int, low_bits: int, high_bits: int):
+    """Basis indices of one frozen-boundary sector and its couplings.
+
+    Every (index, index with bulk site i flipped) pair whose site i sees 2
+    or 3 alive neighbours is a coupling; rows and columns come back as one
+    array of basis indices per site.  Vectorized over the sector.
+    """
+    interior = np.arange(1 << (L - 4), dtype=np.int64)
+    indices = low_bits | (interior << 2) | (high_bits << (L - 2))
+    bits = [((indices >> j) & 1).astype(np.int8) for j in range(L)]
+    rows, cols = [], []
+    for site in range(3, L - 1):  # bulk sites 3 .. L-2; site s lives at bit s-1
+        count = _neighbour_count(bits, site)
+        row = indices[(count == 2) | (count == 3)]
+        rows.append(row)
+        cols.append(row ^ (1 << (site - 1)))
+    return indices, rows, cols
+
+
+def _structure(rows: list, cols: list, dim: int) -> sp.csr_matrix:
+    """Row-sorted 0/1 CSR matrix with ones at the concatenated (row, col) pairs."""
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    return sp.coo_matrix((np.ones(row.size), (row, col)), shape=(dim, dim)).tocsr()
 
 
 def frozen_sector(h: SparseHamiltonian, low_bits: int, high_bits: int):
-    """Basis indices and restricted matrix for fixed boundary occupations.
+    """Basis indices and block of H for fixed boundary occupations.
 
     ``low_bits`` carries sites (1, 2) and ``high_bits`` sites (L-1, L).
     H is exactly block diagonal over these sectors because no coupling
-    touches the boundary sites.
+    touches the boundary sites, so the block is built on its own from the
+    rule, without reading the full matrix.
     """
-    L = h.L
     if not 0 <= low_bits < 4 or not 0 <= high_bits < 4:
         raise ValueError("boundary bit patterns must be two-bit values")
-    interior = np.arange(1 << (L - 4), dtype=np.int64)
-    indices = low_bits | (interior << 2) | (high_bits << (L - 2))
-    sub = h.matrix[indices][:, indices].tocsr()
-    return indices, sub
+    indices, rows, cols = _sector_couplings(h.L, low_bits, high_bits)
+    mask = indices.size - 1  # place in the sector: the interior bits, above sites 1 and 2
+    rows = [(row >> 2) & mask for row in rows]
+    cols = [(col >> 2) & mask for col in cols]
+    return indices, _structure(rows, cols, indices.size)

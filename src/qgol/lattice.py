@@ -73,7 +73,7 @@ class StateVector:
     Parameters
     ----------
     amplitudes : array_like
-        2**L complex entries with Euclidean norm 1 within ``norm_tol``.
+        2**L finite complex entries with Euclidean norm 1 within ``norm_tol``.
     norm_tol : float
         Allowed deviation of the norm from 1 (default 1e-9; integrators
         relax this for snapshots whose drift is measured separately).
@@ -84,8 +84,8 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 2 or (amps.size & (amps.size - 1)):
             raise ValueError("amplitude vector length must be a power of two >= 2")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > norm_tol:
-            raise ValueError(f"state not normalized: |psi| = {nrm!r}")
+        if not abs(nrm - 1.0) <= norm_tol:  # a NaN or infinite amplitude fails too
+            raise ValueError(f"state not normalized or not finite: |psi| = {nrm!r}")
         amps.flags.writeable = False
         self.amplitudes = amps
         self.L = amps.size.bit_length() - 1

@@ -100,11 +100,20 @@ def test_rk4_matches_exact_oracle(h8, rng):
         assert np.linalg.norm(approx.amplitudes - exact.amplitudes) < 1e-6
 
 
-def test_rk4_sector_and_full_paths_agree(h8):
-    psi = make_fock_state(SpinConfig.from_string("01011010"))
-    a = evolve_rk4(h8, psi, 3.0, sample_every=1 << 30, use_frozen_sector=True)
-    b = evolve_rk4(h8, psi, 3.0, sample_every=1 << 30, use_frozen_sector=False)
-    assert np.array_equal(a.states[-1].amplitudes, b.states[-1].amplitudes)
+def test_rk4_multi_sector_superposition_matches_exact(h8):
+    # the three configurations carry three different boundary patterns
+    configs = [SpinConfig.from_string(s) for s in ("01011010", "10110101", "11001011")]
+    amps = np.zeros(1 << 8, dtype=complex)
+    for c in configs:
+        amps[fock_index(c)] = 1 / np.sqrt(3)
+    psi = StateVector(amps)
+    approx = evolve_rk4(h8, psi, 5.0, sample_every=1 << 30).states[-1]
+    exact = evolve_exact(h8, psi, 5.0)
+    assert np.linalg.norm(approx.amplitudes - exact.amplitudes) < 1e-6
+    boundary = np.arange(1 << 8) & 0b11000011  # sites 1, 2, 7 and 8
+    for c in configs:  # each boundary sector keeps its weight of 1/3
+        sector = boundary == (fock_index(c) & 0b11000011)
+        assert np.sum(np.abs(approx.amplitudes[sector]) ** 2) == pytest.approx(1 / 3)
 
 
 def test_rk4_norm_and_energy_conservation(h8):
@@ -163,6 +172,20 @@ def test_rk4_aborts_on_blowup(h8):
             evolve_rk4(h8, psi, 40.0, dt=1.0, sample_every=5)
 
 
+def test_blown_up_rk4_reported_zero_norm_drift(h11):
+    # a NaN norm must fail the drift check, not come back as norm_drift = 0.0
+    psi = make_fock_state(SpinConfig.from_string(BLINKER_11))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning, match="RK4"):
+        with pytest.raises(IntegrationError):
+            evolve_rk4(h11, psi, 2000.0, dt=1.0, sample_every=1 << 30)
+
+
+def test_state_vector_accepted_nan_amplitudes():
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            StateVector(bad)
+
+
 def test_rk4_validation(h5):
     psi = make_fock_state(SpinConfig((0,) * 5))
     with pytest.raises(ValueError):
@@ -186,9 +209,9 @@ def test_evolve_exact_examples(h5):
 def test_evolve_exact_size_guard():
     from qgol import build_hamiltonian
 
-    h = build_hamiltonian(11)
+    h = build_hamiltonian(15)
     with pytest.raises(ValueError):
-        evolve_exact(h, make_fock_state(SpinConfig((0,) * 11)), 1.0)
+        evolve_exact(h, make_fock_state(SpinConfig((0,) * 15)), 1.0)
 
 
 def test_strobe_examples(h11, h8):

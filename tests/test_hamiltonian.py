@@ -7,7 +7,6 @@ from qgol import (
     apply_hamiltonian,
     build_hamiltonian,
     config_from_index,
-    couplings_to_csv,
     dense_hamiltonian,
     fock_index,
     frozen_sector,
@@ -72,16 +71,16 @@ def test_reflection_symmetry(h8):
 
 
 def test_boundary_sites_never_flip(h8):
-    rows, cols = h8.couplings()
-    flipped = rows ^ cols
+    coo = h8.matrix.tocoo()
+    flipped = coo.row ^ coo.col
     assert np.all(flipped == (flipped & -flipped))  # exactly one bit differs
     site = np.log2(flipped).astype(int) + 1
     assert site.min() >= 3 and site.max() <= 6  # bulk of L = 8
 
 
 def test_every_coupling_satisfies_the_rule(h5):
-    rows, cols = h5.couplings()
-    for r, c in zip(rows, cols):
+    coo = h5.matrix.tocoo()
+    for r, c in zip(coo.row, coo.col):
         site = int(np.log2(r ^ c)) + 1
         assert alive_neighbors(config_from_index(int(r), 5), site) in (2, 3)
 
@@ -112,22 +111,17 @@ def test_apply_dimension_mismatch(h5):
         apply_hamiltonian(h5, np.zeros(16))
 
 
-def test_frozen_sector_blocks(h8):
-    dense = h8.matrix.toarray()
-    covered = 0
-    for low in range(4):
-        for high in range(4):
-            indices, sub = frozen_sector(h8, low, high)
-            assert np.array_equal(sub.toarray(), dense[np.ix_(indices, indices)])
-            outside = np.setdiff1d(np.arange(1 << 8), indices)
-            assert dense[np.ix_(indices, outside)].sum() == 0  # truly block diagonal
-            covered += len(indices)
-    assert covered == 1 << 8
-
-
-def test_couplings_csv(tmp_path, h5):
-    path = tmp_path / "couplings.csv"
-    couplings_to_csv(h5, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col"
-    assert len(lines) - 1 == h5.n_couplings
+def test_frozen_sector_blocks():
+    # each block against the literal projector assembly, not the sparse builder
+    for L in range(5, 11):
+        h = build_hamiltonian(L)
+        dense = dense_hamiltonian(L)
+        covered = 0
+        for low in range(4):
+            for high in range(4):
+                indices, sub = frozen_sector(h, low, high)
+                assert np.array_equal(sub.toarray(), dense[np.ix_(indices, indices)])
+                outside = np.setdiff1d(np.arange(1 << L), indices)
+                assert dense[np.ix_(indices, outside)].sum() == 0  # truly block diagonal
+                covered += len(indices)
+        assert covered == 1 << L

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -210,6 +211,26 @@ def test_cli_config_file_and_override(tmp_path, capsys):
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["config"]["t_max"] == 1.0  # flag wins over the file
     assert (out / "diversity.csv").exists()
+
+
+def test_config_file_sets_every_field(tmp_path):
+    expected = dict(
+        kind="ensemble", L=9, initial="001011010", rho0=0.25, t_max=2.5, dt=0.005,
+        sample_every=10, steps=7, samples=3, seed=11, measures=("mi", "bonds"),
+        window=(1.0, 2.5), concurrence_distances=(1, 3), bonds=(2, 4), out_dir="somewhere",
+        workers=2, period=6, hopping=0.5, k0=3, q_max=1000, tolerance=1e-6,
+    )
+    assert set(expected) == {f.name for f in fields(RunConfig)}
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(
+        "".join(
+            f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+            for key, value in expected.items()
+        )
+    )
+    parsed = read_config_file(cfg)
+    assert parsed == expected
+    assert all(type(parsed[k]) is type(v) for k, v in expected.items())
 
 
 def test_cli_measures_all(tmp_path, capsys):
