@@ -61,12 +61,9 @@ class ClassicalTrajectory:
 def classical_f12_step(config: SpinConfig) -> SpinConfig:
     """One synchronous update: bulk site i swaps iff its neighbourhood holds
     2 or 3 alive cells, all flips computed from the pre-step configuration."""
-    bits = config.bits
-    L = config.L
-    new = list(bits)
-    for i in range(3, L - 1):  # sites 3 .. L-2
-        count = bits[i - 3] + bits[i - 2] + bits[i] + bits[i + 1]
-        if count == 2 or count == 3:
+    new = list(config.bits)
+    for i in range(3, config.L - 1):  # sites 3 .. L-2
+        if alive_neighbors(config, i) in (2, 3):
             new[i - 1] ^= 1
     return SpinConfig(tuple(new))
 

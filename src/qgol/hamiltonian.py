@@ -54,10 +54,6 @@ class SparseHamiltonian:
     def dim(self) -> int:
         return 1 << self.L
 
-    @property
-    def n_couplings(self) -> int:
-        return self.matrix.nnz
-
     def to_dense(self) -> np.ndarray:
         if self.L > DENSE_MAX_SITES:
             raise ValueError(f"refusing dense conversion above L = {DENSE_MAX_SITES}")

@@ -9,7 +9,6 @@ significant bit of the reduced index.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import StateVector
 
@@ -147,17 +146,14 @@ def average_concurrence(state: StateVector, d: int) -> float:
 def bond_entropy(state: StateVector, j: int) -> float:
     """Schmidt entropy of the bipartition sites 1..j | j+1..L.
 
-    Computed from singular values of the 2**(L-j) x 2**j amplitude
-    reshaping; no density matrix is ever formed.
+    Both halves share one nonzero spectrum, so this is the von Neumann
+    entropy of the reduced density matrix of the smaller half, at most
+    2**(L//2) square.
     """
     if not 1 <= j <= state.L - 1:
         raise ValueError(f"bond {j} outside [1, {state.L - 1}]")
-    m = state.amplitudes.reshape(1 << (state.L - j), 1 << j)
-    s = scipy.linalg.svd(m, compute_uv=False)
-    p = s**2
-    p = p / p.sum()  # guard against integrator norm drift
-    p = p[p > EIGENVALUE_FLOOR]
-    return max(0.0, float(-(p * np.log2(p)).sum()))
+    half = range(1, j + 1) if 2 * j <= state.L else range(j + 1, state.L + 1)
+    return von_neumann_entropy(reduced_density_matrix(state, half))
 
 
 def bond_entropy_profile(state: StateVector) -> np.ndarray:

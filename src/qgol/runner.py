@@ -13,10 +13,12 @@ import functools
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from math import floor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +51,78 @@ from .quantum_info import (
 MAX_SITES = 24  # 2**L complex amplitudes; beyond this the engine refuses
 
 KINDS = ("evolve", "classical", "strobe", "ensemble", "circulant")
-MEASURES = ("populations", "clusters", "diversity", "entropies", "mi", "concurrence", "bonds")
 
 QUANTUM_WINDOW = (25.0, 30.0)
 CLASSICAL_WINDOW = (83.0, 100.0)
+
+#: Scalars of a discretized profile, in the order `_discrete_scalars` returns them.
+_DISCRETE = ("density", "diversity", "improved_diversity")
+
+
+def _discrete_scalars(d) -> list:
+    """Density, diversity and improved diversity of a discretized profile."""
+    return [density(d), diversity(d), improved_diversity(d)]
+
+
+# ---------------------------------------------------------------------------
+# the measures of a quantum trajectory, one CSV each
+
+
+class _Snapshot:
+    """One observed state; its profiles are computed on first use, at most once."""
+
+    def __init__(self, state):
+        self.state = state
+
+    @functools.cached_property
+    def profile(self) -> np.ndarray:
+        return local_population(self.state)
+
+    @functools.cached_property
+    def discrete(self) -> np.ndarray:
+        return discretize(self.profile)
+
+
+def _site_labels(prefix: str, L: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(1, L + 1)]
+
+
+def _mi_rows(config, snapshot) -> list[list]:
+    mi = mutual_information_matrix(snapshot.state)
+    return [[i + 1, j + 1, mi[i, j]] for i in range(config.L) for j in range(i + 1, config.L)]
+
+
+class _Measure(NamedTuple):
+    header: Callable  # config -> column labels after "time"
+    rows: Callable  # (config, snapshot) -> that snapshot's rows, each after its time
+
+
+#: Every measure `evolve` records, in the order its files are written.  The
+#: entries look the observables up as module globals when called.
+_MEASURE_TABLE = {
+    "populations": _Measure(lambda c: _site_labels("n_", c.L), lambda c, s: [s.profile]),
+    "clusters": _Measure(
+        lambda c: _site_labels("alive_", c.L) + _site_labels("dead_", c.L),
+        lambda c, s: [
+            [fn(s.discrete, l) for fn in (alive_cluster_function, dead_cluster_function)
+             for l in range(1, c.L + 1)]
+        ],
+    ),
+    "diversity": _Measure(lambda c: _DISCRETE, lambda c, s: [_discrete_scalars(s.discrete)]),
+    "entropies": _Measure(
+        lambda c: _site_labels("S_", c.L), lambda c, s: [single_site_entropies(s.state)]
+    ),
+    "mi": _Measure(lambda c: ["i", "j", "value"], _mi_rows),
+    "concurrence": _Measure(
+        lambda c: [f"C_{d}" for d in c.concurrence_distances],
+        lambda c, s: [[average_concurrence(s.state, d) for d in c.concurrence_distances]],
+    ),
+    "bonds": _Measure(
+        lambda c: [f"bond_{j}" for j in c.bonds or range(1, c.L)],
+        lambda c, s: [[bond_entropy(s.state, j) for j in c.bonds or range(1, c.L)]],
+    ),
+}
+MEASURES = tuple(_MEASURE_TABLE)
 
 
 @dataclass
@@ -69,7 +139,7 @@ class RunConfig:
     steps: int = 20
     samples: int = 16
     seed: int | None = None
-    measures: tuple[str, ...] = ("populations",)
+    measures: tuple[str, ...] = MEASURES[:1]  # the occupation profile alone
     window: tuple[float, float] | None = None
     concurrence_distances: tuple[int, ...] = (1,)
     bonds: tuple[int, ...] | None = None
@@ -103,6 +173,13 @@ class RunConfig:
                 raise ValueError(
                     f"invalid bitstring length: {len(self.initial)} for L = {self.L}"
                 )
+            for label, values in (("bond", self.bonds or ()),
+                                  ("concurrence distance", self.concurrence_distances)):
+                outside = [v for v in values if not 1 <= v <= self.L - 1]
+                if outside:
+                    raise ValueError(f"{label} {outside} outside [1, {self.L - 1}]")
+            if self.kind == "ensemble" and (self.window or QUANTUM_WINDOW)[0] > self.t_max:
+                raise ValueError(f"the quantum window starts after t_max = {self.t_max}")
         unknown = set(self.measures) - set(MEASURES)
         if unknown:
             raise ValueError(f"unknown measures {sorted(unknown)}; choose from {MEASURES}")
@@ -186,6 +263,19 @@ def _cached_hamiltonian(L: int):
     return build_hamiltonian(L)
 
 
+def _evolve(config: RunConfig, initial: SpinConfig, observe):
+    """RK4 trajectory of ``config`` from a Fock state; ``observe(t, state)`` sees each snapshot."""
+    return evolve_rk4(
+        _cached_hamiltonian(config.L),
+        make_fock_state(initial),
+        t_max=config.t_max,
+        dt=config.dt,
+        sample_every=config.sample_every,
+        observer=observe,
+        keep_states=False,
+    )
+
+
 def _initial_config(config: RunConfig) -> SpinConfig:
     if config.initial is not None:
         return SpinConfig.from_string(config.initial)
@@ -194,94 +284,22 @@ def _initial_config(config: RunConfig) -> SpinConfig:
 
 
 # ---------------------------------------------------------------------------
-# measure recording for a single quantum trajectory
-
-
-class _MeasureRecorder:
-    """Accumulates one row per snapshot for every requested measure."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.rows = {name: [] for name in config.measures}
-
-    def observe(self, t: float, state) -> None:
-        cfg = self.config
-        needs_profile = {"populations", "clusters", "diversity"} & set(cfg.measures)
-        profile = local_population(state) if needs_profile else None
-        if "populations" in cfg.measures:
-            self.rows["populations"].append([t, *profile])
-        if "clusters" in cfg.measures or "diversity" in cfg.measures:
-            d = discretize(profile)
-            if "clusters" in cfg.measures:
-                alive = [alive_cluster_function(d, l) for l in range(1, cfg.L + 1)]
-                dead = [dead_cluster_function(d, l) for l in range(1, cfg.L + 1)]
-                self.rows["clusters"].append([t, *alive, *dead])
-            if "diversity" in cfg.measures:
-                self.rows["diversity"].append(
-                    [t, density(d), diversity(d), improved_diversity(d)]
-                )
-        if "entropies" in cfg.measures:
-            self.rows["entropies"].append([t, *single_site_entropies(state)])
-        if "mi" in cfg.measures:
-            mi = mutual_information_matrix(state)
-            for i in range(cfg.L):
-                for j in range(i + 1, cfg.L):
-                    self.rows["mi"].append([t, i + 1, j + 1, mi[i, j]])
-        if "concurrence" in cfg.measures:
-            values = [average_concurrence(state, d) for d in self.config.concurrence_distances]
-            self.rows["concurrence"].append([t, *values])
-        if "bonds" in cfg.measures:
-            bonds = self.config.bonds or tuple(range(1, cfg.L))
-            self.rows["bonds"].append([t, *(bond_entropy(state, j) for j in bonds)])
-
-    def headers(self) -> dict[str, list[str]]:
-        cfg = self.config
-        sites = [f"n_{i}" for i in range(1, cfg.L + 1)]
-        out = {}
-        if "populations" in cfg.measures:
-            out["populations"] = ["time", *sites]
-        if "clusters" in cfg.measures:
-            out["clusters"] = (
-                ["time"]
-                + [f"alive_{l}" for l in range(1, cfg.L + 1)]
-                + [f"dead_{l}" for l in range(1, cfg.L + 1)]
-            )
-        if "diversity" in cfg.measures:
-            out["diversity"] = ["time", "density", "diversity", "improved_diversity"]
-        if "entropies" in cfg.measures:
-            out["entropies"] = ["time"] + [f"S_{i}" for i in range(1, cfg.L + 1)]
-        if "mi" in cfg.measures:
-            out["mi"] = ["time", "i", "j", "value"]
-        if "concurrence" in cfg.measures:
-            out["concurrence"] = ["time"] + [f"C_{d}" for d in self.config.concurrence_distances]
-        if "bonds" in cfg.measures:
-            bonds = self.config.bonds or tuple(range(1, cfg.L))
-            out["bonds"] = ["time"] + [f"bond_{j}" for j in bonds]
-        return out
-
-
-# ---------------------------------------------------------------------------
 # the experiment kinds
 
 
 def _run_evolve(config: RunConfig, out: Path) -> tuple[dict, dict]:
-    h = _cached_hamiltonian(config.L)
-    initial = make_fock_state(_initial_config(config))
-    recorder = _MeasureRecorder(config)
-    trajectory = evolve_rk4(
-        h,
-        initial,
-        t_max=config.t_max,
-        dt=config.dt,
-        sample_every=config.sample_every,
-        observer=recorder.observe,
-        keep_states=False,
-    )
+    rows = {name: [] for name in MEASURES if name in config.measures}
+
+    def observe(t, state):
+        snapshot = _Snapshot(state)
+        for name, measure_rows in rows.items():
+            measure_rows += ([t, *row] for row in _MEASURE_TABLE[name].rows(config, snapshot))
+
+    trajectory = _evolve(config, _initial_config(config), observe)
     files = {}
-    for name, header in recorder.headers().items():
-        path = out / f"{name}.csv"
-        _write_csv(path, header, recorder.rows[name])
-        files[name] = path
+    for name, measure_rows in rows.items():
+        files[name] = out / f"{name}.csv"
+        _write_csv(files[name], ["time", *_MEASURE_TABLE[name].header(config)], measure_rows)
     summary = {
         "snapshots": len(trajectory.times),
         "norm_drift": trajectory.norm_drift,
@@ -289,23 +307,20 @@ def _run_evolve(config: RunConfig, out: Path) -> tuple[dict, dict]:
     return files, summary
 
 
-def _classical_rows(traj, L: int):
-    rows = []
-    for k, cfg in enumerate(traj.steps):
-        d = np.array(cfg.bits, dtype=np.int8)
-        rows.append(
-            [k, k * CLASSICAL_STEP, cfg.to_string(), density(d), diversity(d), improved_diversity(d)]
-        )
-    return rows
+def _classical_rows(traj):
+    return [
+        [k, k * CLASSICAL_STEP, cfg.to_string(), *_discrete_scalars(cfg.bits)]
+        for k, cfg in enumerate(traj.steps)
+    ]
 
 
-_CLASSICAL_HEADER = ["step", "time", "config", "density", "diversity", "improved_diversity"]
+_CLASSICAL_HEADER = ["step", "time", "config", *_DISCRETE]
 
 
 def _run_classical(config: RunConfig, out: Path) -> tuple[dict, dict]:
     traj = classical_trajectory(_initial_config(config), config.steps)
     path = out / "classical.csv"
-    _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj, config.L))
+    _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj))
     return {"classical": path}, {"steps": config.steps}
 
 
@@ -313,7 +328,7 @@ def _run_strobe(config: RunConfig, out: Path) -> tuple[dict, dict]:
     h = _cached_hamiltonian(config.L)
     traj = stroboscopic_quantum(h, _initial_config(config), config.steps)
     path = out / "strobe.csv"
-    _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj, config.L))
+    _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj))
     return {"strobe": path}, {"steps": config.steps}
 
 
@@ -322,57 +337,25 @@ def _ensemble_sample(args) -> dict:
     config, index = args
     rng = sample_rng(config.seed, index)
     initial = sample_random_fock(config.L, config.rho0, rng)
-    h = _cached_hamiltonian(config.L)
-    quantum_window = config.window or QUANTUM_WINDOW
-
-    series = {"density": [], "diversity": [], "improved_diversity": []}
 
     def observe(t, state):
-        d = discretize(local_population(state))
-        series["density"].append(density(d))
-        series["diversity"].append(diversity(d))
-        series["improved_diversity"].append(improved_diversity(d))
+        return _discrete_scalars(discretize(local_population(state)))
 
-    trajectory = evolve_rk4(
-        h,
-        make_fock_state(initial),
-        t_max=config.t_max,
-        dt=config.dt,
-        sample_every=config.sample_every,
-        observer=observe,
-        keep_states=False,
-    )
+    trajectory = _evolve(config, initial, observe)
+    ctraj = classical_trajectory(initial, int(floor(CLASSICAL_WINDOW[1] / CLASSICAL_STEP)))
+    classical = [_discrete_scalars(cfg.bits) for cfg in ctraj.steps]
     record = {"sample": index, "config": initial.to_string()}
-    for name, values in series.items():
-        record[f"{name}_equi_quantum"] = equilibrium_average(
-            trajectory.times, values, quantum_window
-        )
-
-    classical_steps = int(floor(CLASSICAL_WINDOW[1] / CLASSICAL_STEP))
-    ctraj = classical_trajectory(initial, classical_steps)
-    times = ctraj.times
-    cvalues = {"density": [], "diversity": [], "improved_diversity": []}
-    for cfg in ctraj.steps:
-        d = np.array(cfg.bits, dtype=np.int8)
-        cvalues["density"].append(density(d))
-        cvalues["diversity"].append(diversity(d))
-        cvalues["improved_diversity"].append(improved_diversity(d))
-    for name, values in cvalues.items():
-        record[f"{name}_equi_classical"] = equilibrium_average(
-            times, values, CLASSICAL_WINDOW
-        )
+    for kind, times, values, window in (
+        ("quantum", trajectory.times, trajectory.records, config.window or QUANTUM_WINDOW),
+        ("classical", ctraj.times, classical, CLASSICAL_WINDOW),
+    ):
+        for name, series in zip(_DISCRETE, zip(*values)):
+            record[f"{name}_equi_{kind}"] = equilibrium_average(times, series, window)
     record["norm_drift"] = trajectory.norm_drift
     return record
 
 
-_SCALARS = [
-    "density_equi_quantum",
-    "diversity_equi_quantum",
-    "improved_diversity_equi_quantum",
-    "density_equi_classical",
-    "diversity_equi_classical",
-    "improved_diversity_equi_classical",
-]
+_SCALARS = [f"{name}_equi_{kind}" for kind in ("quantum", "classical") for name in _DISCRETE]
 
 
 def run_ensemble(config: RunConfig) -> EnsembleResult:

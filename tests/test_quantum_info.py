@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qgol
 from qgol import (
     SpinConfig,
     StateVector,
@@ -181,6 +187,29 @@ def test_bond_entropy_ceiling(rng):
     state = StateVector(random_state(rng, 6))
     for j in range(1, 6):
         assert bond_entropy(state, j) <= min(j, 6 - j) + 1e-12
+
+
+def schmidt_entropy(amplitudes, L, j):
+    """Oracle: entropy in bits of the squared singular values at bond j."""
+    s = np.linalg.svd(amplitudes.reshape(1 << (L - j), 1 << j), compute_uv=False)
+    p = s**2 / (s**2).sum()
+    p = p[p > 1e-15]
+    return float(-(p * np.log2(p)).sum())
+
+
+def test_bond_entropy_matches_schmidt_spectrum(rng):
+    # bonds left and right of the centre take the two smaller-side branches
+    for L in range(2, 11):
+        amps = random_state(rng, L)
+        state = StateVector(amps)
+        for j in range(1, L):
+            assert abs(bond_entropy(state, j) - schmidt_entropy(amps, L, j)) < 1e-12
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, qgol; assert 'scipy.linalg' not in sys.modules"
+    src = str(Path(qgol.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_bond_entropy_reflection_symmetric_state():

@@ -14,7 +14,7 @@ from qgol import (
     sample_random_fock,
 )
 from qgol.cli import main, read_config_file
-from qgol.runner import sample_rng
+from qgol.runner import MEASURES, sample_rng
 
 
 def test_sample_random_fock_extremes(rng):
@@ -62,6 +62,34 @@ def test_run_config_validation():
         RunConfig(kind="evolve", L=8, initial="0" * 8, dt=-0.1).validate()
     with pytest.raises(ValueError):
         RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bogus",)).validate()
+
+
+def test_ensemble_window_after_tmax_rejected_before_evolving():
+    config = RunConfig(kind="ensemble", L=8, rho0=0.5, samples=2, seed=1, t_max=10.0)
+    with pytest.raises(ValueError, match="window"):
+        config.validate()
+    config.window = (12.0, 15.0)
+    with pytest.raises(ValueError, match="window"):
+        config.validate()
+    config.t_max = 12.0
+    config.validate()
+
+
+@pytest.mark.parametrize("bonds", [(9,), (0,), (1, 8)])
+def test_bond_outside_lattice_rejected_before_evolving(bonds):
+    config = RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bonds",), bonds=bonds)
+    with pytest.raises(ValueError, match="bond"):
+        config.validate()
+
+
+@pytest.mark.parametrize("distances", [(0,), (8,), (1, -1)])
+def test_concurrence_distance_outside_lattice_rejected_before_evolving(distances):
+    config = RunConfig(
+        kind="evolve", L=8, initial="0" * 8, measures=("concurrence",),
+        concurrence_distances=distances,
+    )
+    with pytest.raises(ValueError, match="concurrence distance"):
+        config.validate()
 
 
 def test_evolve_run_shapes(tmp_path):
@@ -250,3 +278,33 @@ def test_cli_measures_all(tmp_path, capsys):
     capsys.readouterr()
     for name in ("populations", "clusters", "diversity", "entropies", "mi", "concurrence", "bonds"):
         assert (out / f"{name}.csv").exists()
+
+
+def test_each_measure_alone_writes_its_bytes_from_all(tmp_path):
+    base = dict(kind="evolve", L=8, initial="00101100", t_max=0.5, sample_every=25)
+    run(RunConfig(measures=MEASURES, out_dir=str(tmp_path / "all"), **base))
+    for name in MEASURES:
+        run(RunConfig(measures=(name,), out_dir=str(tmp_path / name), **base))
+        assert {p.name for p in (tmp_path / name).iterdir()} == {f"{name}.csv", "manifest.json"}
+        alone = (tmp_path / name / f"{name}.csv").read_bytes()
+        assert alone == (tmp_path / "all" / f"{name}.csv").read_bytes()
+
+
+def test_ensemble_csv_header(tmp_path):
+    config = RunConfig(
+        kind="ensemble", L=8, rho0=0.5, samples=1, seed=3,
+        t_max=1.0, sample_every=50, window=(0.5, 1.0), out_dir=str(tmp_path),
+    )
+    run(config)
+    header = (tmp_path / "ensemble.csv").read_text().splitlines()[0]
+    assert header == (
+        "sample,config,density_equi_quantum,diversity_equi_quantum,"
+        "improved_diversity_equi_quantum,density_equi_classical,"
+        "diversity_equi_classical,improved_diversity_equi_classical,norm_drift"
+    )
+
+
+def test_classical_csv_header(tmp_path):
+    run(RunConfig(kind="classical", L=8, initial="00101100", steps=2, out_dir=str(tmp_path)))
+    header = (tmp_path / "classical.csv").read_text().splitlines()[0]
+    assert header == "step,time,config,density,diversity,improved_diversity"
