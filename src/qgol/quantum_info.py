@@ -147,13 +147,14 @@ def bond_entropy(state: StateVector, j: int) -> float:
     """Schmidt entropy of the bipartition sites 1..j | j+1..L.
 
     Both halves share one nonzero spectrum, so this is the von Neumann
-    entropy of the reduced density matrix of the smaller half, at most
-    2**(L//2) square.
+    entropy of the smaller half's reduced density matrix (at most
+    2**(L//2) square): the Gram matrix of the reshaped amplitudes.
     """
     if not 1 <= j <= state.L - 1:
         raise ValueError(f"bond {j} outside [1, {state.L - 1}]")
-    half = range(1, j + 1) if 2 * j <= state.L else range(j + 1, state.L + 1)
-    return von_neumann_entropy(reduced_density_matrix(state, half))
+    m = state.amplitudes.reshape(-1, 1 << j)  # rows: sites j+1..L, columns: sites 1..j
+    rho = m.T @ m.conj() if 2 * j <= state.L else m @ m.conj().T
+    return von_neumann_entropy(rho / np.trace(rho).real)
 
 
 def bond_entropy_profile(state: StateVector) -> np.ndarray:

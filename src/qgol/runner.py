@@ -139,7 +139,7 @@ class RunConfig:
     steps: int = 20
     samples: int = 16
     seed: int | None = None
-    measures: tuple[str, ...] = MEASURES[:1]  # the occupation profile alone
+    measures: tuple[str, ...] = ("populations",)
     window: tuple[float, float] | None = None
     concurrence_distances: tuple[int, ...] = (1,)
     bonds: tuple[int, ...] | None = None
