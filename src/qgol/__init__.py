@@ -51,6 +51,7 @@ from .lattice import (
     make_fock_state,
     norm,
     overlap,
+    sector_state,
 )
 from .networks import disparity, network_clustering, network_density
 from .observables import (

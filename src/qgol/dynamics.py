@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hamiltonian import SparseHamiltonian, alive_neighbors, frozen_sector
-from .lattice import SpinConfig, StateVector, config_from_index, fock_index
+from .lattice import SpinConfig, StateVector, config_from_index, fock_index, sector_state
 
 #: Integration aborts when a sampled state drifts this far from unit norm.
 NORM_ABORT = 1e-4
@@ -78,11 +78,59 @@ def classical_trajectory(config: SpinConfig, n_steps: int) -> ClassicalTrajector
     return ClassicalTrajectory(steps=steps)
 
 
-def _touched_sectors(h: SparseHamiltonian, amps: np.ndarray) -> list:
-    """`frozen_sector` (indices, block) of every boundary sector ``amps`` has weight in."""
-    nz = np.flatnonzero(amps)
-    sectors = np.unique((nz & 3) | ((nz >> (h.L - 2)) << 2))  # low | high << 2
-    return [frozen_sector(h, int(s) & 3, int(s) >> 2) for s in sectors]
+def snapshot_grid(t_max: float, dt: float, sample_every: int):
+    """The RK4 step grid and the snapshots taken on it.
+
+    Returns ``(n_full, remainder, steps, times)``: ``n_full`` whole steps of
+    ``dt``, then one shortened step of ``remainder`` landing exactly on
+    ``t_max`` (0.0 when there is none); snapshots are taken after the step
+    numbers ``steps`` (0, every ``sample_every`` steps, and the last step),
+    at ``times``.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+    n_full = int(np.floor(t_max / dt + 1e-12))
+    remainder = t_max - n_full * dt
+    if remainder < 1e-12 * max(1.0, t_max):
+        remainder = 0.0
+    n_steps = n_full + (1 if remainder else 0)
+    steps = np.arange(0, n_steps + 1, sample_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    times = steps * dt
+    if remainder:
+        times[-1] = t_max
+    return n_full, remainder, steps, times
+
+
+def _restrict(h: SparseHamiltonian, state: StateVector):
+    """The boundary sectors ``state`` has weight in, as (low_bits, high_bits)
+    pairs, their `frozen_sector` blocks, the basis indices of those blocks
+    one after another, and the amplitudes of ``state`` at those indices."""
+    if state.sector is not None:
+        sectors = [state.sector[:2]]
+    else:
+        nz = np.flatnonzero(state.amplitudes)
+        codes = np.unique((nz & 3) | ((nz >> (h.L - 2)) << 2))  # low | high << 2
+        sectors = [(int(c) & 3, int(c) >> 2) for c in codes]
+    blocks = [frozen_sector(h, low, high) for low, high in sectors]
+    indices = np.concatenate([idx for idx, _ in blocks])
+    psi = state.sector.block if state.sector is not None else state.amplitudes[indices]
+    return sectors, [block for _, block in blocks], indices, psi
+
+
+def _state(h: SparseHamiltonian, sectors: list, indices: np.ndarray, vec, norm_tol: float):
+    """The state with amplitudes ``vec`` on ``sectors``: in sector form when
+    there is one, else as a full vector."""
+    if len(sectors) == 1:
+        return sector_state(h.L, *sectors[0], vec, norm_tol=norm_tol)
+    full = np.zeros(h.dim, dtype=complex)
+    full[indices] = vec
+    return StateVector(full, norm_tol=norm_tol)
 
 
 def evolve_rk4(
@@ -97,16 +145,18 @@ def evolve_rk4(
     """Fixed-step fourth-order integration of i d/dt psi = H psi.
 
     Snapshots are taken at t = 0, every ``sample_every`` steps, and at the
-    final step.  For each snapshot the full state is reconstructed and
-    passed to ``observer(t, state)`` when given; observer returns are
-    collected in ``Trajectory.records``.  With ``keep_states=False`` the
-    snapshots themselves are discarded (memory bound: one 2**L vector).
+    final step (`snapshot_grid`).  Each snapshot is passed to
+    ``observer(t, state)`` when given; observer returns are collected in
+    ``Trajectory.records``.  With ``keep_states=False`` the snapshots
+    themselves are discarded (memory bound: one snapshot).
 
     The integration runs only on the frozen-boundary sectors the initial
     state has weight in, which is exact: H is block diagonal over them, so
     the remaining amplitudes are zero and stay zero.  A Fock state lies in
-    one 2**(L-4) dimensional block; a superposition across boundary
-    patterns evolves under the direct sum of its blocks.
+    one 2**(L-4) dimensional block, and its snapshots are held in sector
+    form (no 2**L vector is made); a superposition across boundary
+    patterns evolves under the direct sum of its blocks, and its snapshots
+    are full vectors.
 
     Raises
     ------
@@ -114,12 +164,7 @@ def evolve_rk4(
         If a sampled norm drifts more than `NORM_ABORT` from 1 (the step is
         too large for the spectral radius of H).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    n_full, remainder, steps, times = snapshot_grid(t_max, dt, sample_every)
     if initial.dim != h.dim:
         raise ValueError(f"dimension mismatch: state {initial.dim}, H {h.dim}")
     # RK4 is stable for |E| dt < 2*sqrt(2) and max|E| <= max row degree <= L-4
@@ -129,29 +174,20 @@ def evolve_rk4(
             stacklevel=2,
         )
 
-    # whole steps of size dt plus one shortened step landing exactly on t_max
-    n_full = int(np.floor(t_max / dt + 1e-12))
-    remainder = t_max - n_full * dt
-    if remainder < 1e-12 * max(1.0, t_max):
-        remainder = 0.0
-    n_steps = n_full + (1 if remainder else 0)
-    blocks = _touched_sectors(h, initial.amplitudes)
-    indices = np.concatenate([idx for idx, _ in blocks])
-    matrix = sp.block_diag([block for _, block in blocks], format="csr")
-    psi = initial.amplitudes[indices]
+    sectors, blocks, indices, psi = _restrict(h, initial)
+    matrix = sp.block_diag(blocks, format="csr")
 
     def rhs(v):
         # -i H v via two real products (matrix data is real)
         return (matrix @ v.imag) - 1j * (matrix @ v.real)
 
-    times = []
+    sampled = dict(zip(steps.tolist(), times.tolist()))
     states = [] if keep_states else None
     records = [] if observer is not None else None
     drift = 0.0
 
-    def take_snapshot(step: int, vec: np.ndarray):
+    def take_snapshot(t: float, vec: np.ndarray):
         nonlocal drift
-        t = t_max if (remainder and step == n_steps) else step * dt
         error = abs(float(np.linalg.norm(vec)) - 1.0)
         if not error <= NORM_ABORT:  # a NaN or infinite norm fails too
             raise IntegrationError(
@@ -159,29 +195,27 @@ def evolve_rk4(
                 f"{NORM_ABORT:.0e}; reduce dt (currently {dt})"
             )
         drift = max(drift, error)
-        times.append(t)
         if keep_states or observer is not None:
-            full = np.zeros(h.dim, dtype=complex)
-            full[indices] = vec
-            snapshot = StateVector(full, norm_tol=2 * NORM_ABORT)
+            snapshot = _state(h, sectors, indices, vec, 2 * NORM_ABORT)
             if keep_states:
                 states.append(snapshot)
             if observer is not None:
                 records.append(observer(t, snapshot))
 
-    take_snapshot(0, psi)
+    take_snapshot(0.0, psi)
+    n_steps = int(steps[-1])
     for step in range(1, n_steps + 1):
-        step_dt = remainder if (remainder and step == n_steps) else dt
+        step_dt = dt if step <= n_full else remainder
         k1 = rhs(psi)
         k2 = rhs(psi + (0.5 * step_dt) * k1)
         k3 = rhs(psi + (0.5 * step_dt) * k2)
         k4 = rhs(psi + step_dt * k3)
         psi = psi + (step_dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if step % sample_every == 0 or step == n_steps:
-            take_snapshot(step, psi)
+        if step in sampled:
+            take_snapshot(sampled[step], psi)
 
     return Trajectory(
-        times=np.asarray(times),
+        times=times,
         dt=dt,
         states=states,
         records=records,
@@ -199,11 +233,12 @@ def evolve_exact(h: SparseHamiltonian, initial: StateVector, t: float) -> StateV
         raise ValueError(f"dense propagation limited to L <= {EXACT_MAX_SITES}")
     if initial.dim != h.dim:
         raise ValueError(f"dimension mismatch: state {initial.dim}, H {h.dim}")
-    amps = np.zeros(h.dim, dtype=complex)
-    for indices, block in _touched_sectors(h, initial.amplitudes):
+    sectors, blocks, indices, psi = _restrict(h, initial)
+    amps = []
+    for block, part in zip(blocks, psi.reshape(len(blocks), -1)):  # equal-sized blocks
         w, basis = np.linalg.eigh(block.toarray())
-        amps[indices] = basis @ (np.exp(-1j * w * t) * (basis.T @ initial.amplitudes[indices]))
-    return StateVector(amps, norm_tol=1e-8)
+        amps.append(basis @ (np.exp(-1j * w * t) * (basis.T @ part)))
+    return _state(h, sectors, indices, np.concatenate(amps), 1e-8)
 
 
 def _rotate_site(amps: np.ndarray, site: int, theta: float) -> np.ndarray:

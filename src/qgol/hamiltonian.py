@@ -6,20 +6,22 @@ next-nearest neighbours contain two or three alive cells.  Sites 1, 2,
 L-1 and L never flip, so H splits into 16 frozen-boundary blocks.
 
 The rule is enumerated once, block by block; the full operator is their
-direct sum.  Both are pure structure (all couplings equal 1) held in
-row-sorted sparse form; `dense_hamiltonian` re-assembles the same operator
-from the literal projector products as an independent test oracle.
+direct sum, assembled only when something reads it.  Both are pure
+structure (all couplings equal 1) held in row-sorted sparse form;
+`dense_hamiltonian` re-assembles the same operator from the literal
+projector products as an independent test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import MIN_SITES, SpinConfig, _amplitudes
+from .lattice import MIN_SITES, SpinConfig, _amplitudes, sector_indices
 
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -45,14 +47,33 @@ def alive_neighbors(config: SpinConfig, i: int) -> int:
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """Symmetric 0/1 coupling structure of the rule Hamiltonian (hbar = 1)."""
+    """Symmetric 0/1 coupling structure of the rule Hamiltonian (hbar = 1).
+
+    Only ``L`` is stored.  The full 2**L operator `matrix` is assembled from
+    the 16 frozen-boundary blocks on first access; the integrator never
+    reads it, it works on the blocks of `frozen_sector`.
+    """
 
     L: int
-    matrix: sp.csr_matrix  # float64 data, every stored entry equal to 1
 
     @property
     def dim(self) -> int:
         return 1 << self.L
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The full operator, float64 data with every stored entry equal to 1.
+
+        The blocks hand over their couplings as basis indices and never
+        overlap, so the result is the same row-sorted structure as a direct
+        enumeration over all 2**L configurations.
+        """
+        rows, cols = [], []
+        for low_bits, high_bits in itertools.product(range(4), repeat=2):
+            _, sector_rows, sector_cols = _sector_couplings(self.L, low_bits, high_bits)
+            rows += sector_rows
+            cols += sector_cols
+        return _structure(rows, cols, self.dim)
 
     def to_dense(self) -> np.ndarray:
         if self.L > DENSE_MAX_SITES:
@@ -61,20 +82,10 @@ class SparseHamiltonian:
 
 
 def build_hamiltonian(L: int) -> SparseHamiltonian:
-    """The full 2**L operator, assembled from the 16 frozen-boundary blocks.
-
-    The blocks hand over their couplings as basis indices and never
-    overlap, so the result is the same row-sorted structure as a direct
-    enumeration over all 2**L configurations.
-    """
+    """The rule Hamiltonian on ``L`` sites; its full matrix is built lazily."""
     if L < MIN_SITES:
         raise ValueError(f"lattice needs at least {MIN_SITES} sites, got {L}")
-    rows, cols = [], []
-    for low_bits, high_bits in itertools.product(range(4), repeat=2):
-        _, sector_rows, sector_cols = _sector_couplings(L, low_bits, high_bits)
-        rows += sector_rows
-        cols += sector_cols
-    return SparseHamiltonian(L=L, matrix=_structure(rows, cols, 1 << L))
+    return SparseHamiltonian(L=L)
 
 
 def apply_hamiltonian(h: SparseHamiltonian, state) -> np.ndarray:
@@ -139,8 +150,7 @@ def _sector_couplings(L: int, low_bits: int, high_bits: int):
     or 3 alive neighbours is a coupling; rows and columns come back as one
     array of basis indices per site.  Vectorized over the sector.
     """
-    interior = np.arange(1 << (L - 4), dtype=np.int64)
-    indices = low_bits | (interior << 2) | (high_bits << (L - 2))
+    indices = sector_indices(L, low_bits, high_bits)
     bits = [((indices >> j) & 1).astype(np.int8) for j in range(L)]
     rows, cols = [], []
     for site in range(3, L - 1):  # bulk sites 3 .. L-2; site s lives at bit s-1
@@ -165,8 +175,6 @@ def frozen_sector(h: SparseHamiltonian, low_bits: int, high_bits: int):
     touches the boundary sites, so the block is built on its own from the
     rule, without reading the full matrix.
     """
-    if not 0 <= low_bits < 4 or not 0 <= high_bits < 4:
-        raise ValueError("boundary bit patterns must be two-bit values")
     indices, rows, cols = _sector_couplings(h.L, low_bits, high_bits)
     mask = indices.size - 1  # place in the sector: the interior bits, above sites 1 and 2
     rows = [(row >> 2) & mask for row in rows]

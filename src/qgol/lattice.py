@@ -2,13 +2,16 @@
 
 Site 1 is the least significant bit of a basis index: the configuration
 with bits b_1 ... b_L maps to index sum_j b_j * 2**(j-1).  This module is
-the single encoding authority; everything else goes through `fock_index`
-and `config_from_index` instead of re-deriving bit order.
+the single encoding authority; everything else goes through `fock_index`,
+`config_from_index` and, for the frozen-boundary blocks, `sector_indices`
+instead of re-deriving bit order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,12 +66,55 @@ class SpinConfig:
         return self.to_string()
 
 
+class Sector(NamedTuple):
+    """A state confined to one frozen-boundary sector.
+
+    ``low_bits`` carries sites (1, 2) and ``high_bits`` sites (L-1, L);
+    ``block`` holds the 2**(L-4) amplitudes of the interior sites 3..L-2,
+    site 3 the least significant bit of a block index (`sector_indices`).
+    """
+
+    low_bits: int
+    high_bits: int
+    block: np.ndarray
+
+
+class Factors(NamedTuple):
+    """A state as |frozen bits> (x) |amplitudes>.
+
+    ``frozen`` maps each site held in a basis state to its bit; ``amplitudes``
+    spans the remaining sites offset+1 .. offset+n, site offset+1 the least
+    significant bit.  A full vector has no frozen sites and offset 0.
+    """
+
+    frozen: dict
+    offset: int
+    amplitudes: np.ndarray
+
+
+def _checked_amplitudes(values, norm_tol: float) -> np.ndarray:
+    """Read-only complex copy of ``values``: power-of-two length, unit norm."""
+    amps = np.array(values, dtype=complex)
+    if amps.ndim != 1 or amps.size < 2 or (amps.size & (amps.size - 1)):
+        raise ValueError("amplitude vector length must be a power of two >= 2")
+    nrm = float(np.linalg.norm(amps))
+    if not abs(nrm - 1.0) <= norm_tol:  # a NaN or infinite amplitude fails too
+        raise ValueError(f"state not normalized or not finite: |psi| = {nrm!r}")
+    amps.flags.writeable = False
+    return amps
+
+
 class StateVector:
     """A normalized vector of 2**L complex amplitudes over the sigma_z basis.
 
     The amplitude at index ``fock_index(c)`` belongs to configuration ``c``.
     Values are immutable after construction: the amplitude array is copied
     and marked read-only.
+
+    A state confined to one frozen-boundary sector (made by `sector_state`,
+    e.g. every Fock state) is held as its `sector` alone; `amplitudes` then
+    builds the full vector on first access and keeps it.  For a full
+    vector `sector` is None.
 
     Parameters
     ----------
@@ -79,23 +125,70 @@ class StateVector:
         relax this for snapshots whose drift is measured separately).
     """
 
+    sector: Sector | None = None
+
     def __init__(self, amplitudes, norm_tol: float = 1e-9):
-        amps = np.array(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 2 or (amps.size & (amps.size - 1)):
-            raise ValueError("amplitude vector length must be a power of two >= 2")
-        nrm = float(np.linalg.norm(amps))
-        if not abs(nrm - 1.0) <= norm_tol:  # a NaN or infinite amplitude fails too
-            raise ValueError(f"state not normalized or not finite: |psi| = {nrm!r}")
+        self.amplitudes = _checked_amplitudes(amplitudes, norm_tol)
+        self.L = self.amplitudes.size.bit_length() - 1
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The full 2**L vector (read-only), built from `sector` on first access."""
+        low_bits, high_bits, block = self.sector
+        amps = np.zeros(self.dim, dtype=complex)
+        amps[sector_indices(self.L, low_bits, high_bits)] = block
         amps.flags.writeable = False
-        self.amplitudes = amps
-        self.L = amps.size.bit_length() - 1
+        return amps
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return 1 << self.L
+
+    def factors(self) -> Factors:
+        """The state as frozen basis sites times the amplitudes of the rest."""
+        if self.sector is None:
+            return Factors({}, 0, self.amplitudes)
+        low_bits, high_bits, block = self.sector
+        L = self.L
+        frozen = {1: low_bits & 1, 2: low_bits >> 1, L - 1: high_bits & 1, L: high_bits >> 1}
+        return Factors(frozen, 2, block)
 
     def __repr__(self) -> str:
         return f"StateVector(L={self.L})"
+
+
+def _check_sector(L: int, low_bits: int, high_bits: int) -> None:
+    if L < MIN_SITES:
+        raise ValueError(f"lattice needs at least {MIN_SITES} sites, got {L}")
+    if not 0 <= low_bits < 4 or not 0 <= high_bits < 4:
+        raise ValueError("boundary bit patterns must be two-bit values")
+
+
+def sector_indices(L: int, low_bits: int, high_bits: int) -> np.ndarray:
+    """Basis indices of a frozen-boundary sector, in block order.
+
+    Block index p holds the configuration with sites (1, 2) = ``low_bits``,
+    interior sites 3..L-2 = the bits of p, and sites (L-1, L) = ``high_bits``.
+    """
+    _check_sector(L, low_bits, high_bits)
+    interior = np.arange(1 << (L - 4), dtype=np.int64)
+    return low_bits | (interior << 2) | (high_bits << (L - 2))
+
+
+def sector_state(
+    L: int, low_bits: int, high_bits: int, block, norm_tol: float = 1e-9
+) -> StateVector:
+    """The state with boundary bits (``low_bits``, ``high_bits``) and interior
+    amplitudes ``block`` (2**(L-4) entries in `sector_indices` order), held
+    in sector form."""
+    _check_sector(L, low_bits, high_bits)
+    block = _checked_amplitudes(block, norm_tol)
+    if block.size != 1 << (L - 4):
+        raise ValueError(f"block has {block.size} amplitudes, L = {L} needs {1 << (L - 4)}")
+    state = StateVector.__new__(StateVector)
+    state.L = L
+    state.sector = Sector(low_bits, high_bits, block)
+    return state
 
 
 def fock_index(config: SpinConfig) -> int:
@@ -114,10 +207,11 @@ def config_from_index(index: int, L: int) -> SpinConfig:
 
 
 def make_fock_state(config: SpinConfig) -> StateVector:
-    """Separable basis state |b_1 ... b_L> with unit amplitude at `fock_index`."""
-    amps = np.zeros(1 << config.L, dtype=complex)
-    amps[fock_index(config)] = 1.0
-    return StateVector(amps)
+    """Separable basis state |b_1 ... b_L>, held in sector form."""
+    index, L = fock_index(config), config.L
+    block = np.zeros(1 << (L - 4), dtype=complex)
+    block[(index >> 2) & (block.size - 1)] = 1.0
+    return sector_state(L, index & 3, index >> (L - 2), block)
 
 
 def _amplitudes(state) -> np.ndarray:

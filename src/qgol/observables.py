@@ -18,12 +18,18 @@ def local_population(state: StateVector) -> np.ndarray:
     """Expected occupation per site, n_i = sum of |amplitude|^2 with bit i set.
 
     Normalized by the total probability, so integrator norm drift cannot
-    leak into the profile.
+    leak into the profile.  Frozen sites of a sector-form state read their
+    bit; only the remaining amplitudes are summed.
     """
-    p = np.abs(state.amplitudes) ** 2
+    frozen, offset, amps = state.factors()
+    p = np.abs(amps) ** 2
     p /= p.sum()
     return np.array(
-        [p.reshape(-1, 2, 1 << (s - 1))[:, 1, :].sum() for s in range(1, state.L + 1)]
+        [
+            frozen[s] if s in frozen else p.reshape(-1, 2, 1 << (s - 1 - offset))[:, 1, :].sum()
+            for s in range(1, state.L + 1)
+        ],
+        dtype=float,
     )
 
 

@@ -31,6 +31,8 @@ def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
     The first listed site becomes the least significant bit of the reduced
     index.  Returns a dense 2**k x 2**k complex matrix, normalized by
     <psi|psi> so that integrator norm drift never leaks into the trace.
+    Frozen sites of a sector-form state enter as the pure projectors onto
+    their bits; only the remaining amplitudes are traced over.
     """
     sites = list(sites)
     k = len(sites)
@@ -40,14 +42,27 @@ def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
         raise ValueError(f"duplicate sites in {sites}")
     if any(not 1 <= s <= state.L for s in sites):
         raise ValueError(f"sites {sites} outside [1, {state.L}]")
-    tensor = state.amplitudes.reshape((2,) * state.L)  # axis a <-> site L - a
-    keep_axes = [state.L - s for s in sites]
-    trace_axes = [a for a in range(state.L) if a not in set(keep_axes)]
+    frozen, offset, amps = state.factors()
+    free = [s for s in sites if s not in frozen]
+    n = amps.size.bit_length() - 1
+    tensor = amps.reshape((2,) * n)  # axis a <-> site offset + n - a
+    keep_axes = [offset + n - s for s in free]
+    trace_axes = [a for a in range(n) if a not in set(keep_axes)]
     # reversed: the last listed site must be the most significant reduced bit
     ordered = tensor.transpose(list(reversed(keep_axes)) + trace_axes)
-    m = ordered.reshape(1 << k, -1)
+    m = ordered.reshape(1 << len(free), -1)
     rho = m @ m.conj().T
-    return rho / np.trace(rho).real
+    rho /= np.trace(rho).real
+    if len(free) == k:
+        return rho
+    # |b><b| on the frozen sites: rho fills the rows and columns whose frozen bits are b
+    index = np.full(rho.shape[0], sum(frozen[s] << q for q, s in enumerate(sites) if s in frozen))
+    r = np.arange(rho.shape[0])
+    for b, q in enumerate(q for q, s in enumerate(sites) if s not in frozen):
+        index |= ((r >> b) & 1) << q
+    out = np.zeros((1 << k, 1 << k), dtype=complex)
+    out[np.ix_(index, index)] = rho
+    return out
 
 
 def _check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -148,12 +163,17 @@ def bond_entropy(state: StateVector, j: int) -> float:
 
     Both halves share one nonzero spectrum, so this is the von Neumann
     entropy of the smaller half's reduced density matrix (at most
-    2**(L//2) square): the Gram matrix of the reshaped amplitudes.
+    2**(L//2) square): the Gram matrix of the reshaped amplitudes.  Frozen
+    sites are in product with the rest and add nothing, so a sector-form
+    state cuts its block between the free sites left and right of the bond.
     """
     if not 1 <= j <= state.L - 1:
         raise ValueError(f"bond {j} outside [1, {state.L - 1}]")
-    m = state.amplitudes.reshape(-1, 1 << j)  # rows: sites j+1..L, columns: sites 1..j
-    rho = m.T @ m.conj() if 2 * j <= state.L else m @ m.conj().T
+    _, offset, amps = state.factors()
+    n = amps.size.bit_length() - 1
+    left = min(max(j - offset, 0), n)  # free sites on the left of the bond
+    m = amps.reshape(-1, 1 << left)  # rows: the free sites right of the bond, columns: left
+    rho = m.T @ m.conj() if 2 * left <= n else m @ m.conj().T
     return von_neumann_entropy(rho / np.trace(rho).real)
 
 

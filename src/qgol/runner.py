@@ -28,6 +28,7 @@ from .dynamics import (
     CLASSICAL_STEP,
     classical_trajectory,
     evolve_rk4,
+    snapshot_grid,
     stroboscopic_quantum,
 )
 from .hamiltonian import build_hamiltonian
@@ -178,8 +179,14 @@ class RunConfig:
                 outside = [v for v in values if not 1 <= v <= self.L - 1]
                 if outside:
                     raise ValueError(f"{label} {outside} outside [1, {self.L - 1}]")
-            if self.kind == "ensemble" and (self.window or QUANTUM_WINDOW)[0] > self.t_max:
-                raise ValueError(f"the quantum window starts after t_max = {self.t_max}")
+            if self.kind == "ensemble":
+                start, stop = self.window or QUANTUM_WINDOW
+                times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
+                if not ((times >= start) & (times <= stop)).any():
+                    raise ValueError(
+                        f"no snapshot inside the quantum window ({start}, {stop}): "
+                        f"t_max = {self.t_max}, sample_every = {self.sample_every}"
+                    )
         unknown = set(self.measures) - set(MEASURES)
         if unknown:
             raise ValueError(f"unknown measures {sorted(unknown)}; choose from {MEASURES}")
@@ -258,15 +265,10 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@functools.lru_cache(maxsize=4)
-def _cached_hamiltonian(L: int):
-    return build_hamiltonian(L)
-
-
 def _evolve(config: RunConfig, initial: SpinConfig, observe):
     """RK4 trajectory of ``config`` from a Fock state; ``observe(t, state)`` sees each snapshot."""
     return evolve_rk4(
-        _cached_hamiltonian(config.L),
+        build_hamiltonian(config.L),
         make_fock_state(initial),
         t_max=config.t_max,
         dt=config.dt,
@@ -325,7 +327,7 @@ def _run_classical(config: RunConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_strobe(config: RunConfig, out: Path) -> tuple[dict, dict]:
-    h = _cached_hamiltonian(config.L)
+    h = build_hamiltonian(config.L)
     traj = stroboscopic_quantum(h, _initial_config(config), config.steps)
     path = out / "strobe.csv"
     _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj))

@@ -159,6 +159,22 @@ def test_rk4_boundary_populations_frozen(h8):
         assert np.abs(profiles[:, site - 1] - profiles[0, site - 1]).max() < 1e-12
 
 
+def test_fock_evolution_stays_in_sector_form():
+    # neither the full operator nor a full snapshot vector is built
+    from qgol import build_hamiltonian, local_population, mutual_information_matrix
+
+    h = build_hamiltonian(10)
+    psi = make_fock_state(SpinConfig.from_string("1101011001"))
+    tr = evolve_rk4(
+        h, psi, 1.0, sample_every=25,
+        observer=lambda t, s: (local_population(s), mutual_information_matrix(s)),
+    )
+    assert "matrix" not in vars(h)
+    for state in [psi, *tr.states]:
+        assert state.sector[:2] == (0b11, 0b10)
+        assert "amplitudes" not in vars(state)
+
+
 def test_rk4_lands_exactly_on_t_max(h5):
     tr = evolve_rk4(h5, make_fock_state(SpinConfig((0,) * 5)), np.pi / 4, sample_every=7)
     assert tr.times[-1] == np.pi / 4

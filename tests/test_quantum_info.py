@@ -14,9 +14,11 @@ from qgol import (
     bond_entropy,
     bond_entropy_profile,
     concurrence,
+    local_population,
     make_fock_state,
     mutual_information_matrix,
     reduced_density_matrix,
+    sector_state,
     single_site_entropies,
     two_site_entropy,
     von_neumann_entropy,
@@ -223,3 +225,27 @@ def fock_idx(bits):
     from qgol import fock_index
 
     return fock_index(SpinConfig.from_string(bits))
+
+
+def test_sector_form_measures_match_the_full_vector(rng):
+    # every measure on a sector-form state equals the same function on its
+    # materialised full vector, frozen boundary sites included
+    for L in range(5, 11):
+        for low, high in [(a, b) for a in range(4) for b in range(4)]:
+            state = sector_state(L, low, high, random_state(rng, L - 4))
+            full = StateVector(state.amplitudes)
+            assert state.sector is not None and full.sector is None
+            assert np.abs(local_population(state) - local_population(full)).max() < 1e-12
+            for i in range(1, L + 1):
+                pairs = [[i]] + [[i, j] for j in range(1, L + 1) if j != i]
+                for sites in pairs:  # both orders of every pair
+                    diff = reduced_density_matrix(state, sites) - reduced_density_matrix(full, sites)
+                    assert np.abs(diff).max() < 1e-12, (L, low, high, sites)
+            assert np.abs(single_site_entropies(state) - single_site_entropies(full)).max() < 1e-12
+            assert np.abs(
+                mutual_information_matrix(state) - mutual_information_matrix(full)
+            ).max() < 1e-12
+            for d in range(1, L):
+                assert abs(average_concurrence(state, d) - average_concurrence(full, d)) < 1e-12
+            for j in range(1, L):
+                assert abs(bond_entropy(state, j) - bond_entropy(full, j)) < 1e-12

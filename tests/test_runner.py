@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from qgol import (
     run_ensemble,
     sample_random_fock,
 )
+import qgol
 from qgol.cli import main, read_config_file
 from qgol.runner import MEASURES, sample_rng
 
@@ -72,6 +77,23 @@ def test_ensemble_window_after_tmax_rejected_before_evolving():
     with pytest.raises(ValueError, match="window"):
         config.validate()
     config.t_max = 12.0
+    config.validate()
+
+
+def test_ensemble_window_without_snapshot_rejected_before_evolving(monkeypatch, tmp_path):
+    # snapshots fall at t = 0, 1.25, 2.5 and 3: none inside (1.5, 2.0)
+    config = RunConfig(
+        kind="ensemble", L=8, rho0=0.5, samples=2, seed=1, t_max=3.0,
+        sample_every=125, window=(1.5, 2.0), out_dir=str(tmp_path),
+    )
+
+    def never(*args, **kwargs):
+        raise AssertionError("evolved before rejecting the window")
+
+    monkeypatch.setattr("qgol.runner.evolve_rk4", never)
+    with pytest.raises(ValueError, match="no snapshot inside the quantum window"):
+        run(config)
+    config.window = (1.0, 2.0)
     config.validate()
 
 
@@ -308,3 +330,30 @@ def test_classical_csv_header(tmp_path):
     run(RunConfig(kind="classical", L=8, initial="00101100", steps=2, out_dir=str(tmp_path)))
     header = (tmp_path / "classical.csv").read_text().splitlines()[0]
     assert header == "step,time,config,density,diversity,improved_diversity"
+
+
+#: Starts a command and prints its exit code and peak RSS in KiB.  On Linux
+#: a child's ru_maxrss includes the high-water mark of the image it was
+#: forked from, so the command is started from this small process rather
+#: than from the test process.
+_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_evolve_l22_peak_memory(tmp_path):
+    # a Fock-seeded run holds its 2**18 block, never a 2**22 vector or operator
+    initial = "00" + "101100101100110100" + "00"
+    src = str(Path(qgol.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "qgol", "evolve", "--length", "22", "--initial", initial,
+               "--tmax", "0.05", "--out", str(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, *command], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024 < 600
