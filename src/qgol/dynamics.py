@@ -15,8 +15,8 @@ from math import pi
 import numpy as np
 import scipy.sparse as sp
 
-from .hamiltonian import SparseHamiltonian, alive_neighbors, frozen_sector
-from .lattice import SpinConfig, StateVector, config_from_index, fock_index, sector_state
+from .hamiltonian import SparseHamiltonian, _fires, frozen_sector
+from .lattice import SpinConfig, StateVector, sector_state
 
 #: Integration aborts when a sampled state drifts this far from unit norm.
 NORM_ABORT = 1e-4
@@ -58,13 +58,17 @@ class ClassicalTrajectory:
         return len(self.steps)
 
 
+def _flip_sites(config: SpinConfig) -> list[int]:
+    """The bulk sites (3 .. L-2) the rule flips in ``config``."""
+    return [i for i in range(3, config.L - 1) if _fires(config.bits, i)]
+
+
 def classical_f12_step(config: SpinConfig) -> SpinConfig:
     """One synchronous update: bulk site i swaps iff its neighbourhood holds
     2 or 3 alive cells, all flips computed from the pre-step configuration."""
     new = list(config.bits)
-    for i in range(3, config.L - 1):  # sites 3 .. L-2
-        if alive_neighbors(config, i) in (2, 3):
-            new[i - 1] ^= 1
+    for i in _flip_sites(config):
+        new[i - 1] ^= 1
     return SpinConfig(tuple(new))
 
 
@@ -241,10 +245,8 @@ def evolve_exact(h: SparseHamiltonian, initial: StateVector, t: float) -> StateV
     return _state(h, sectors, indices, np.concatenate(amps), 1e-8)
 
 
-def _rotate_site(amps: np.ndarray, site: int, theta: float) -> np.ndarray:
-    """exp(-i theta X_site) applied to a full state vector."""
-    flipped = amps[np.arange(amps.size) ^ (1 << (site - 1))]
-    return np.cos(theta) * amps - 1j * np.sin(theta) * flipped
+#: exp(-i pi/2 X): one site rotated for the swap time pi/2.
+_QUARTER_TURN = np.cos(pi / 2) * np.eye(2) - 1j * np.sin(pi / 2) * np.array([[0, 1], [1, 0]])
 
 
 def stroboscopic_quantum(
@@ -252,32 +254,26 @@ def stroboscopic_quantum(
 ) -> ClassicalTrajectory:
     """Projective stroboscopic dynamics measured every pi/2.
 
-    Each step evaluates the neighbour-count projectors on the current Fock
-    configuration (a deterministic measurement, since Fock states are
-    projector eigenstates), freezes the resulting flip set, rotates every
-    flagged site for time pi/2 on the actual state vector, and collapses
-    onto the resulting Fock state.  On Fock inputs the sequence coincides
-    with the classical rule.
+    Each step measures the neighbour-count projectors on the current Fock
+    configuration (deterministic: Fock states are projector eigenstates),
+    rotates every flagged site for time pi/2 and collapses onto the
+    resulting Fock state.  That state is a product, held as L single-site
+    spinors; the landing check reads the product of the winning moduli,
+    the modulus of the full-vector amplitude.  On Fock inputs the sequence
+    coincides with the classical rule.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if config.L != h.L:
         raise ValueError(f"configuration L = {config.L} does not match H (L = {h.L})")
     steps = [config]
-    current = config
     for _ in range(n_steps):
-        flips = [
-            i
-            for i in range(3, h.L - 1)
-            if alive_neighbors(current, i) in (2, 3)
-        ]
-        amps = np.zeros(h.dim, dtype=complex)
-        amps[fock_index(current)] = 1.0
-        for site in flips:
-            amps = _rotate_site(amps, site, pi / 2)
-        winner = int(np.argmax(np.abs(amps)))
-        if abs(abs(amps[winner]) - 1.0) > 1e-9:
+        spinors = np.eye(2, dtype=complex)[list(steps[-1].bits)]
+        flagged = np.array(_flip_sites(steps[-1]), dtype=int) - 1
+        spinors[flagged] = spinors[flagged] @ _QUARTER_TURN.T
+        winners = np.argmax(np.abs(spinors), axis=1)
+        weight = np.prod(np.abs(spinors[np.arange(h.L), winners]))
+        if abs(weight - 1.0) > 1e-9:
             raise RuntimeError("stroboscopic step did not land on a Fock state")
-        current = config_from_index(winner, h.L)
-        steps.append(current)
+        steps.append(SpinConfig(tuple(winners.tolist())))
     return ClassicalTrajectory(steps=steps)

@@ -34,6 +34,13 @@ def _neighbour_count(bits, site: int):
     return bits[site - 3] + bits[site - 2] + bits[site] + bits[site + 1]
 
 
+def _fires(bits, site: int):
+    """The rule: bulk ``site`` flips when 2 or 3 of its neighbours are alive.
+    ``bits`` is a tuple of 0/1 (gives a bool) or per-site bit arrays (a mask)."""
+    count = _neighbour_count(bits, site)
+    return (count == 2) | (count == 3)
+
+
 def alive_neighbors(config: SpinConfig, i: int) -> int:
     """Alive cells among sites i-2, i-1, i+1, i+2 (site i itself excluded).
 
@@ -154,8 +161,7 @@ def _sector_couplings(L: int, low_bits: int, high_bits: int):
     bits = [((indices >> j) & 1).astype(np.int8) for j in range(L)]
     rows, cols = [], []
     for site in range(3, L - 1):  # bulk sites 3 .. L-2; site s lives at bit s-1
-        count = _neighbour_count(bits, site)
-        row = indices[(count == 2) | (count == 3)]
+        row = indices[_fires(bits, site)]
         rows.append(row)
         cols.append(row ^ (1 << (site - 1)))
     return indices, rows, cols

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Clustering denominator below this counts as "no two-paths" and yields 0.
+#: Clustering denominators and node strengths this small count as 0.
 _DENOMINATOR_FLOOR = 1e-14
 
 
@@ -31,8 +31,8 @@ def network_density(mi) -> float:
 def disparity(mi) -> float:
     """Average per-node backbone measure sum_j w_ij^2 / (sum_k w_ik)^2.
 
-    Nodes with zero strength contribute 0, so a product state has
-    disparity 0.
+    Nodes whose strength is at most `_DENOMINATOR_FLOOR` contribute 0, so a
+    product state has disparity 0 and round-off links count as no links.
     """
     mi = _check_matrix(mi)
     strength = mi.sum(axis=1)
@@ -41,7 +41,7 @@ def disparity(mi) -> float:
         squared,
         strength**2,
         out=np.zeros_like(strength),
-        where=strength > 0,
+        where=strength > _DENOMINATOR_FLOOR,
     )
     return float(per_node.mean())
 

@@ -49,7 +49,7 @@ from .quantum_info import (
     single_site_entropies,
 )
 
-MAX_SITES = 24  # 2**L complex amplitudes; beyond this the engine refuses
+MAX_SITES = 24  # largest L whose amplitudes `evolve` and `ensemble` will hold
 
 KINDS = ("evolve", "classical", "strobe", "ensemble", "circulant")
 
@@ -161,7 +161,7 @@ class RunConfig:
         if self.rho0 is not None and not 0.0 <= self.rho0 <= 1.0:
             raise ValueError(f"initial density {self.rho0} outside [0, 1]")
         if self.kind in ("evolve", "classical", "strobe", "ensemble"):
-            if self.L > MAX_SITES:
+            if self.kind in ("evolve", "ensemble") and self.L > MAX_SITES:
                 raise ValueError(f"L = {self.L} exceeds the memory bound (L <= {MAX_SITES})")
             if self.kind == "ensemble" or (self.initial is None and self.rho0 is not None):
                 if self.rho0 is None:
@@ -319,19 +319,16 @@ def _classical_rows(traj):
 _CLASSICAL_HEADER = ["step", "time", "config", *_DISCRETE]
 
 
-def _run_classical(config: RunConfig, out: Path) -> tuple[dict, dict]:
-    traj = classical_trajectory(_initial_config(config), config.steps)
-    path = out / "classical.csv"
+def _run_discrete(config: RunConfig, out: Path) -> tuple[dict, dict]:
+    """The classical rule or its stroboscopic-projective counterpart, one row per step."""
+    initial = _initial_config(config)
+    if config.kind == "strobe":
+        traj = stroboscopic_quantum(build_hamiltonian(config.L), initial, config.steps)
+    else:
+        traj = classical_trajectory(initial, config.steps)
+    path = out / f"{config.kind}.csv"
     _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj))
-    return {"classical": path}, {"steps": config.steps}
-
-
-def _run_strobe(config: RunConfig, out: Path) -> tuple[dict, dict]:
-    h = build_hamiltonian(config.L)
-    traj = stroboscopic_quantum(h, _initial_config(config), config.steps)
-    path = out / "strobe.csv"
-    _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj))
-    return {"strobe": path}, {"steps": config.steps}
+    return {config.kind: path}, {"steps": config.steps}
 
 
 def _ensemble_sample(args) -> dict:
@@ -461,8 +458,8 @@ def _run_circulant(config: RunConfig, out: Path) -> tuple[dict, dict]:
 
 _RUNNERS = {
     "evolve": _run_evolve,
-    "classical": _run_classical,
-    "strobe": _run_strobe,
+    "classical": _run_discrete,
+    "strobe": _run_discrete,
     "ensemble": _run_ensemble,
     "circulant": _run_circulant,
 }

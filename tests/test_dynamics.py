@@ -9,6 +9,7 @@ from qgol import (
     classical_f12_step,
     classical_trajectory,
     config_from_index,
+    dense_hamiltonian,
     energy_expectation,
     evolve_exact,
     evolve_rk4,
@@ -244,3 +245,16 @@ def test_strobe_equals_classical_spot_checks(h8, rng):
         strobe = stroboscopic_quantum(h8, cfg, 12)
         classical = classical_trajectory(cfg, 12)
         assert [c.bits for c in strobe.steps] == [c.bits for c in classical.steps]
+
+
+def test_flip_rule_matches_dense_oracle():
+    # the one rule the automaton, the strobe and the block builder share,
+    # against the literal projector-product assembly
+    for L in range(5, 9):
+        dense = dense_hamiltonian(L)
+        for index in range(1 << L):
+            config = config_from_index(index, L)
+            new = classical_f12_step(config).bits
+            flipped = [i for i in range(1, L + 1) if new[i - 1] != config.bits[i - 1]]
+            coupled = [i for i in range(3, L - 1) if dense[index ^ (1 << (i - 1)), index] == 1.0]
+            assert flipped == coupled, (L, config.to_string())

@@ -35,6 +35,14 @@ def test_disparity_examples():
     assert disparity(np.zeros((5, 5))) == 0.0
 
 
+def test_disparity_counted_round_off_node_as_full_node():
+    # node 3's links are all round-off: it contributes 0, not 1/3
+    m = np.zeros((4, 4))
+    m[:3, :3] = uniform(3)
+    m[3, :3] = m[:3, 3] = 1e-17
+    assert disparity(m) == pytest.approx(3 * 0.5 / 4, abs=1e-12)
+
+
 def test_clustering_examples():
     assert network_clustering(np.zeros((4, 4))) == 0.0
     w = 0.6

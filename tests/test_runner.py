@@ -242,6 +242,16 @@ def test_cli_memory_bound(tmp_path, capsys):
     assert "memory bound" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_classical_and_strobe_l30_refused_by_amplitude_bound(tmp_path):
+    # neither kind holds an amplitude vector, so the bound on L does not apply
+    initial = "00" + "1011001" * 3 + "0" * 7
+    for kind in ("classical", "strobe"):
+        run(RunConfig(kind=kind, L=30, initial=initial, steps=5, out_dir=str(tmp_path / kind)))
+    classical = (tmp_path / "classical" / "classical.csv").read_text()
+    assert classical == (tmp_path / "strobe" / "strobe.csv").read_text()
+    assert len(classical.splitlines()) == 7
+
+
 def test_cli_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -344,16 +354,26 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_evolve_l22_peak_memory(tmp_path):
-    # a Fock-seeded run holds its 2**18 block, never a 2**22 vector or operator
-    initial = "00" + "101100101100110100" + "00"
+_L22 = ["--length", "22", "--initial", "00" + "101100101100110100" + "00"]
+
+
+@pytest.mark.parametrize(
+    "command, bound_mib",
+    [
+        # a Fock-seeded run holds its 2**18 block, never a 2**22 vector or operator
+        pytest.param(["evolve", *_L22, "--tmax", "0.05"], 600, id="evolve"),
+        # the stroboscopic step holds 22 single-site spinors, never a 2**22 vector
+        pytest.param(["strobe", *_L22, "--steps", "5"], 150, id="strobe"),
+    ],
+)
+def test_evolve_l22_peak_memory(tmp_path, command, bound_mib):
     src = str(Path(qgol.__file__).resolve().parents[1])
-    command = [sys.executable, "-m", "qgol", "evolve", "--length", "22", "--initial", initial,
-               "--tmax", "0.05", "--out", str(tmp_path)]
     result = subprocess.run(
-        [sys.executable, "-c", _RSS_LAUNCHER, *command], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "qgol", *command,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
     )
     code, peak_kib = map(int, result.stdout.split())
     assert code == 0
-    assert peak_kib / 1024 < 600
+    assert peak_kib / 1024 < bound_mib
