@@ -179,7 +179,8 @@ def evolve_rk4(
         )
 
     sectors, blocks, indices, psi = _restrict(h, initial)
-    matrix = sp.block_diag(blocks, format="csr")
+    # the direct sum of one block is that block: a Fock state holds one copy
+    matrix = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
 
     def rhs(v):
         # -i H v via two real products (matrix data is real)

@@ -71,15 +71,16 @@ class SparseHamiltonian:
     def matrix(self) -> sp.csr_matrix:
         """The full operator, float64 data with every stored entry equal to 1.
 
-        The blocks hand over their couplings as basis indices and never
-        overlap, so the result is the same row-sorted structure as a direct
-        enumeration over all 2**L configurations.
+        The 16 `frozen_sector` blocks are scattered through their basis
+        indices; they never overlap, so the result is the same row-sorted
+        structure as a direct enumeration over all 2**L configurations.
         """
         rows, cols = [], []
         for low_bits, high_bits in itertools.product(range(4), repeat=2):
-            _, sector_rows, sector_cols = _sector_couplings(self.L, low_bits, high_bits)
-            rows += sector_rows
-            cols += sector_cols
+            indices, block = frozen_sector(self, low_bits, high_bits)
+            couplings = block.tocoo()
+            rows.append(indices[couplings.row])
+            cols.append(indices[couplings.col])
         return _structure(rows, cols, self.dim)
 
     def to_dense(self) -> np.ndarray:
@@ -150,23 +151,6 @@ def dense_hamiltonian(L: int) -> np.ndarray:
     return H
 
 
-def _sector_couplings(L: int, low_bits: int, high_bits: int):
-    """Basis indices of one frozen-boundary sector and its couplings.
-
-    Every (index, index with bulk site i flipped) pair whose site i sees 2
-    or 3 alive neighbours is a coupling; rows and columns come back as one
-    array of basis indices per site.  Vectorized over the sector.
-    """
-    indices = sector_indices(L, low_bits, high_bits)
-    bits = [((indices >> j) & 1).astype(np.int8) for j in range(L)]
-    rows, cols = [], []
-    for site in range(3, L - 1):  # bulk sites 3 .. L-2; site s lives at bit s-1
-        row = indices[_fires(bits, site)]
-        rows.append(row)
-        cols.append(row ^ (1 << (site - 1)))
-    return indices, rows, cols
-
-
 def _structure(rows: list, cols: list, dim: int) -> sp.csr_matrix:
     """Row-sorted 0/1 CSR matrix with ones at the concatenated (row, col) pairs."""
     row, col = np.concatenate(rows), np.concatenate(cols)
@@ -179,10 +163,17 @@ def frozen_sector(h: SparseHamiltonian, low_bits: int, high_bits: int):
     ``low_bits`` carries sites (1, 2) and ``high_bits`` sites (L-1, L).
     H is exactly block diagonal over these sectors because no coupling
     touches the boundary sites, so the block is built on its own from the
-    rule, without reading the full matrix.
+    rule, on block positions, without reading the full matrix.  Every
+    (position, position with bulk site s flipped) pair whose site s sees 2
+    or 3 alive neighbours is a coupling; site s is bit s-3 of a position.
     """
-    indices, rows, cols = _sector_couplings(h.L, low_bits, high_bits)
-    mask = indices.size - 1  # place in the sector: the interior bits, above sites 1 and 2
-    rows = [(row >> 2) & mask for row in rows]
-    cols = [(col >> 2) & mask for col in cols]
+    indices = sector_indices(h.L, low_bits, high_bits)
+    # one bit array per site, frozen ones too: `_fires` reads the boundary neighbours
+    bits = [((indices >> j) & 1).astype(np.int8) for j in range(h.L)]
+    positions = np.arange(indices.size, dtype=np.int32)
+    rows, cols = [], []
+    for site in range(3, h.L - 1):
+        row = positions[_fires(bits, site)]
+        rows.append(row)
+        cols.append(row ^ (1 << (site - 3)))
     return indices, _structure(rows, cols, indices.size)

@@ -180,6 +180,8 @@ class RunConfig:
                 if outside:
                     raise ValueError(f"{label} {outside} outside [1, {self.L - 1}]")
             if self.kind == "ensemble":
+                if self.samples < 1:
+                    raise ValueError(f"ensemble runs need samples >= 1, got {self.samples}")
                 start, stop = self.window or QUANTUM_WINDOW
                 times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
                 if not ((times >= start) & (times <= stop)).any():
@@ -187,6 +189,11 @@ class RunConfig:
                         f"no snapshot inside the quantum window ({start}, {stop}): "
                         f"t_max = {self.t_max}, sample_every = {self.sample_every}"
                     )
+        if self.kind == "circulant":
+            if self.period < 2:
+                raise ValueError(f"ring needs at least two configurations, got {self.period}")
+            if not 0 <= self.k0 < self.period:
+                raise ValueError(f"configuration index {self.k0} outside [0, {self.period})")
         unknown = set(self.measures) - set(MEASURES)
         if unknown:
             raise ValueError(f"unknown measures {sorted(unknown)}; choose from {MEASURES}")

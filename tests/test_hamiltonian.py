@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qgol import (
     SpinConfig,
@@ -125,3 +126,25 @@ def test_frozen_sector_blocks():
                 assert dense[np.ix_(indices, outside)].sum() == 0  # truly block diagonal
                 covered += len(indices)
         assert covered == 1 << L
+
+
+def _reverse_bits(x, width):
+    return sum(((x >> k) & 1) << (width - 1 - k) for k in range(width))
+
+
+@given(st.integers(5, 12), st.integers(0, 3), st.integers(0, 3))
+def test_frozen_sector_structure(L, low, high):
+    h = build_hamiltonian(L)
+    _, block = frozen_sector(h, low, high)
+    assert block.indices.dtype == np.int32 and block.has_canonical_format
+    assert np.all(block.data == 1.0)
+    assert (block != block.T).nnz == 0
+    assert np.diff(block.indptr).max(initial=0) <= L - 4
+    # every coupling joins opposite popcount parities: H anticommutes with parity
+    coo = block.tocoo()
+    parity = [sum((x >> k) & 1 for k in range(L - 4)) % 2 for x in (coo.row, coo.col)]
+    assert np.all(parity[0] != parity[1])
+    # site j -> L+1-j swaps and reverses the boundary pairs and reverses the interior
+    _, mirror = frozen_sector(h, _reverse_bits(high, 2), _reverse_bits(low, 2))
+    perm = _reverse_bits(np.arange(1 << (L - 4)), L - 4)
+    assert (block[perm][:, perm] != mirror).nnz == 0

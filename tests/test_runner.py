@@ -97,6 +97,32 @@ def test_ensemble_window_without_snapshot_rejected_before_evolving(monkeypatch, 
     config.validate()
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_ensemble_without_samples_rejected_before_evolving(monkeypatch, tmp_path, capsys, samples):
+    def never(*args, **kwargs):
+        raise AssertionError("evolved before rejecting the sample count")
+
+    monkeypatch.setattr("qgol.runner.evolve_rk4", never)
+    code = main(
+        ["ensemble", "--length", "8", "--density", "0.5", "--samples", str(samples),
+         "--seed", "1", "--tmax", "3", "--window", "0,3", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError" and "samples" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("period, k0", [(5, 7), (5, -1), (1, 0)])
+def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
+    out = tmp_path / "ring"
+    code = main(["circulant", "--period", str(period), "--k0", str(k0), "--tmax", "1",
+                 "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("bonds", [(9,), (0,), (1, 8)])
 def test_bond_outside_lattice_rejected_before_evolving(bonds):
     config = RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bonds",), bonds=bonds)
@@ -362,6 +388,11 @@ _L22 = ["--length", "22", "--initial", "00" + "101100101100110100" + "00"]
     [
         # a Fock-seeded run holds its 2**18 block, never a 2**22 vector or operator
         pytest.param(["evolve", *_L22, "--tmax", "0.05"], 600, id="evolve"),
+        # building and evolving on the 2**20 block as built, with no second copy
+        pytest.param(
+            ["evolve", "--length", "24", "--initial", "001011001011001101001000",
+             "--tmax", "0.05"], 650, id="evolve-l24",
+        ),
         # the stroboscopic step holds 22 single-site spinors, never a 2**22 vector
         pytest.param(["strobe", *_L22, "--steps", "5"], 150, id="strobe"),
     ],
