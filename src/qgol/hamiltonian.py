@@ -5,11 +5,12 @@ when they differ at one bulk site i in [3, L-2] whose four nearest and
 next-nearest neighbours contain two or three alive cells.  Sites 1, 2,
 L-1 and L never flip, so H splits into 16 frozen-boundary blocks.
 
-The rule is enumerated once, block by block; the full operator is their
-direct sum, assembled only when something reads it.  Both are pure
-structure (all couplings equal 1) held in row-sorted sparse form;
-`dense_hamiltonian` re-assembles the same operator from the literal
-projector products as an independent test oracle.
+One routine writes the rule's canonical CSR over a set of configurations:
+`frozen_sector` runs it on one block, and the full operator, assembled
+only when something reads it, runs it on all 2**L configurations.  Both
+are pure structure (all couplings equal 1); `dense_hamiltonian`
+re-assembles the same operator from the literal projector products as an
+independent test oracle.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def alive_neighbors(config: SpinConfig, i: int) -> int:
 class SparseHamiltonian:
     """Symmetric 0/1 coupling structure of the rule Hamiltonian (hbar = 1).
 
-    Only ``L`` is stored.  The full 2**L operator `matrix` is assembled from
-    the 16 frozen-boundary blocks on first access; the integrator never
-    reads it, it works on the blocks of `frozen_sector`.
+    Only ``L`` is stored.  The full 2**L operator `matrix` is emitted on
+    first access; the integrator never reads it, it works on the blocks of
+    `frozen_sector`.
     """
 
     L: int
@@ -71,17 +72,11 @@ class SparseHamiltonian:
     def matrix(self) -> sp.csr_matrix:
         """The full operator, float64 data with every stored entry equal to 1.
 
-        The 16 `frozen_sector` blocks are scattered through their basis
-        indices; they never overlap, so the result is the same row-sorted
-        structure as a direct enumeration over all 2**L configurations.
+        `_rule_csr`, which builds every `frozen_sector` block, emits the
+        rule over all 2**L configurations at once, with site s as bit s-1
+        of a basis index.
         """
-        rows, cols = [], []
-        for low_bits, high_bits in itertools.product(range(4), repeat=2):
-            indices, block = frozen_sector(self, low_bits, high_bits)
-            couplings = block.tocoo()
-            rows.append(indices[couplings.row])
-            cols.append(indices[couplings.col])
-        return _structure(rows, cols, self.dim)
+        return _rule_csr(np.arange(self.dim), self.L, first_site=1)
 
     def to_dense(self) -> np.ndarray:
         if self.L > DENSE_MAX_SITES:
@@ -97,16 +92,10 @@ def build_hamiltonian(L: int) -> SparseHamiltonian:
 
 
 def apply_hamiltonian(h: SparseHamiltonian, state) -> np.ndarray:
-    """Matrix-vector product H @ psi; the result is not normalized.
-
-    The stored structure is real, so a complex vector is propagated through
-    two real products (no complex copy of the matrix is ever made).
-    """
+    """Matrix-vector product H @ psi; the result is not normalized."""
     x = _amplitudes(state)
     if x.shape != (h.dim,):
         raise ValueError(f"dimension mismatch: state {x.shape}, H dim {h.dim}")
-    if np.iscomplexobj(x):
-        return h.matrix @ x.real + 1j * (h.matrix @ x.imag)
     return h.matrix @ x
 
 
@@ -151,10 +140,32 @@ def dense_hamiltonian(L: int) -> np.ndarray:
     return H
 
 
-def _structure(rows: list, cols: list, dim: int) -> sp.csr_matrix:
-    """Row-sorted 0/1 CSR matrix with ones at the concatenated (row, col) pairs."""
-    row, col = np.concatenate(rows), np.concatenate(cols)
-    return sp.coo_matrix((np.ones(row.size), (row, col)), shape=(dim, dim)).tocsr()
+def _rule_csr(configs: np.ndarray, L: int, first_site: int) -> sp.csr_matrix:
+    """Canonical 0/1 CSR of the rule among ``configs`` (basis indices), on
+    positions 0..n-1, where bulk site s is bit s - ``first_site`` of a position.
+
+    Rows are counted per site first; a per-row cursor then writes the flips
+    that clear a bit from the top site down and those that set a bit from the
+    bottom up, so each row's columns land in ascending order.  Indices are
+    int32 unless nnz or n reaches 2**31, where they switch to int64.
+    """
+    n = configs.size
+    bits = [((configs >> j) & 1).astype(np.int8) for j in range(L)]
+    sites = range(3, L - 1)
+    fires = {site: _fires(bits, site) for site in sites}
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for mask in fires.values():
+        indptr[1:] += mask
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
+    indptr = indptr.astype(np.int32 if max(nnz, n) < 2**31 else np.int64)
+    indices = np.empty(nnz, dtype=indptr.dtype)
+    cursor = indptr[:-1].copy()
+    for site, alive in [*((s, 1) for s in reversed(sites)), *((s, 0) for s in sites)]:
+        rows = np.flatnonzero(fires[site] & (bits[site - 1] == alive))
+        indices[cursor[rows]] = rows ^ (1 << (site - first_site))
+        cursor[rows] += 1
+    return sp.csr_matrix((np.ones(nnz), indices, indptr), shape=(n, n))
 
 
 def frozen_sector(h: SparseHamiltonian, low_bits: int, high_bits: int):
@@ -163,17 +174,8 @@ def frozen_sector(h: SparseHamiltonian, low_bits: int, high_bits: int):
     ``low_bits`` carries sites (1, 2) and ``high_bits`` sites (L-1, L).
     H is exactly block diagonal over these sectors because no coupling
     touches the boundary sites, so the block is built on its own from the
-    rule, on block positions, without reading the full matrix.  Every
-    (position, position with bulk site s flipped) pair whose site s sees 2
-    or 3 alive neighbours is a coupling; site s is bit s-3 of a position.
+    rule, on block positions, without reading the full matrix: bulk site s
+    is bit s-3 of a position.
     """
     indices = sector_indices(h.L, low_bits, high_bits)
-    # one bit array per site, frozen ones too: `_fires` reads the boundary neighbours
-    bits = [((indices >> j) & 1).astype(np.int8) for j in range(h.L)]
-    positions = np.arange(indices.size, dtype=np.int32)
-    rows, cols = [], []
-    for site in range(3, h.L - 1):
-        row = positions[_fires(bits, site)]
-        rows.append(row)
-        cols.append(row ^ (1 << (site - 3)))
-    return indices, _structure(rows, cols, indices.size)
+    return indices, _rule_csr(indices, h.L, first_site=3)

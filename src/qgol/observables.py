@@ -9,6 +9,8 @@ dead runs touching it are not.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .lattice import StateVector
@@ -46,26 +48,16 @@ def density(d) -> float:
 
 def _as_profile(d) -> np.ndarray:
     arr = np.asarray(d)
-    if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():
+    if arr.ndim != 1 or not ((arr == 0) | (arr == 1)).all():
         raise ValueError("discretized profile must be a 1-D 0/1 sequence")
     return arr.astype(np.int8)
 
 
-def _runs(d: np.ndarray, value: int) -> list[tuple[int, int]]:
-    """Maximal runs of ``value`` as (first_site, last_site), 1-indexed."""
-    runs = []
-    i = 0
-    n = len(d)
-    while i < n:
-        if d[i] == value:
-            j = i
-            while j < n and d[j] == value:
-                j += 1
-            runs.append((i + 1, j))
-            i = j
-        else:
-            i += 1
-    return runs
+def _cluster_sizes(d: np.ndarray) -> tuple[list[int], list[int]]:
+    """Lengths of the maximal alive runs, and of the dead runs that are
+    neither the first nor the last run (so alive cells delimit both ends)."""
+    runs = [(value, len(list(group))) for value, group in itertools.groupby(d.tolist())]
+    return [n for value, n in runs if value], [n for value, n in runs[1:-1] if not value]
 
 
 def alive_cluster_function(d, length: int) -> int:
@@ -77,7 +69,7 @@ def alive_cluster_function(d, length: int) -> int:
     d = _as_profile(d)
     if not 1 <= length <= len(d):
         raise ValueError(f"cluster length {length} outside [1, {len(d)}]")
-    return sum(1 for a, b in _runs(d, 1) if b - a + 1 == length)
+    return _cluster_sizes(d)[0].count(length)
 
 
 def dead_cluster_function(d, length: int) -> int:
@@ -89,24 +81,15 @@ def dead_cluster_function(d, length: int) -> int:
     d = _as_profile(d)
     if not 1 <= length <= len(d):
         raise ValueError(f"cluster length {length} outside [1, {len(d)}]")
-    return sum(
-        1
-        for a, b in _runs(d, 0)
-        if b - a + 1 == length and a > 1 and b < len(d)
-    )
+    return _cluster_sizes(d)[1].count(length)
 
 
 def diversity(d) -> int:
     """Number of distinct alive-cluster sizes present."""
-    d = _as_profile(d)
-    return len({b - a + 1 for a, b in _runs(d, 1)})
+    return len(set(_cluster_sizes(_as_profile(d))[0]))
 
 
 def improved_diversity(d) -> float:
     """Half the sum of distinct alive and distinct interior dead cluster sizes."""
-    d = _as_profile(d)
-    alive_sizes = {b - a + 1 for a, b in _runs(d, 1)}
-    dead_sizes = {
-        b - a + 1 for a, b in _runs(d, 0) if a > 1 and b < len(d)
-    }
-    return 0.5 * (len(alive_sizes) + len(dead_sizes))
+    alive, dead = _cluster_sizes(_as_profile(d))
+    return 0.5 * (len(set(alive)) + len(set(dead)))

@@ -170,20 +170,26 @@ class RunConfig:
                     raise ValueError("random initial states need a seed")
             elif self.initial is None:
                 raise ValueError(f"{self.kind} runs need an initial bitstring")
-            if self.initial is not None and len(self.initial) != self.L:
-                raise ValueError(
-                    f"invalid bitstring length: {len(self.initial)} for L = {self.L}"
-                )
+            if self.initial is not None:
+                # parsed as the run parses it: surrounding whitespace is dropped
+                bits = self.initial.strip()
+                if len(bits) != self.L:
+                    raise ValueError(f"invalid bitstring length: {len(bits)} for L = {self.L}")
+                SpinConfig.from_string(bits)
             for label, values in (("bond", self.bonds or ()),
                                   ("concurrence distance", self.concurrence_distances)):
                 outside = [v for v in values if not 1 <= v <= self.L - 1]
                 if outside:
                     raise ValueError(f"{label} {outside} outside [1, {self.L - 1}]")
+            if self.kind in ("classical", "strobe"):
+                if self.steps < 0:
+                    raise ValueError(f"steps must be nonnegative, got {self.steps}")
+            else:
+                times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
             if self.kind == "ensemble":
                 if self.samples < 1:
                     raise ValueError(f"ensemble runs need samples >= 1, got {self.samples}")
                 start, stop = self.window or QUANTUM_WINDOW
-                times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
                 if not ((times >= start) & (times <= stop)).any():
                     raise ValueError(
                         f"no snapshot inside the quantum window ({start}, {stop}): "

@@ -148,3 +148,16 @@ def test_frozen_sector_structure(L, low, high):
     _, mirror = frozen_sector(h, _reverse_bits(high, 2), _reverse_bits(low, 2))
     perm = _reverse_bits(np.arange(1 << (L - 4)), L - 4)
     assert (block[perm][:, perm] != mirror).nnz == 0
+
+
+def test_full_matrix_is_the_direct_sum_of_the_blocks():
+    # the full operator is emitted on its own, so check it against the 16 blocks
+    for L in range(5, 13):
+        h = build_hamiltonian(L)
+        nnz = 0
+        for low in range(4):
+            for high in range(4):
+                indices, block = frozen_sector(h, low, high)
+                assert (h.matrix[indices][:, indices] != block).nnz == 0
+                nnz += block.nnz
+        assert h.matrix.nnz == nnz

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -110,3 +112,34 @@ def test_fock_population_discretizes_to_bits(rng):
 def test_profile_validation():
     with pytest.raises(ValueError):
         density([0, 2, 1])
+
+
+def _brute_force_clusters(d):
+    """{length: (alive runs, dead runs with alive cells on both sides)} by scanning
+    every window; the virtual sites 0 and L+1 are dead."""
+    padded = [0, *d, 0]
+    counts = {}
+    for length in range(1, len(d) + 1):
+        alive = dead = 0
+        for i in range(1, len(d) - length + 2):
+            window = padded[i:i + length]
+            left, right = padded[i - 1], padded[i + length]
+            if all(window) and left == right == 0:
+                alive += 1
+            if not any(window) and left == right == 1:
+                dead += 1
+        counts[length] = (alive, dead)
+    return counts
+
+
+def test_discrete_measures_match_brute_force_on_every_profile():
+    for L in range(1, 13):
+        for d in itertools.product((0, 1), repeat=L):
+            counts = _brute_force_clusters(d)
+            for length, (alive, dead) in counts.items():
+                assert alive_cluster_function(d, length) == alive
+                assert dead_cluster_function(d, length) == dead
+            alive_sizes = sum(1 for a, _ in counts.values() if a)
+            dead_sizes = sum(1 for _, b in counts.values() if b)
+            assert diversity(d) == alive_sizes
+            assert improved_diversity(d) == 0.5 * (alive_sizes + dead_sizes)

@@ -123,6 +123,25 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "--length", "8", "--initial", "00001000", "--tmax", "-1"],
+        ["evolve", "--length", "8", "--initial", "00001000", "--sample-every", "0"],
+        ["evolve", "--length", "8", "--initial", "00002000"],
+        ["classical", "--length", "8", "--initial", "0001000 ", "--steps", "1"],
+        ["classical", "--length", "8", "--initial", "00001000", "--steps", "-1"],
+        ["strobe", "--length", "8", "--initial", "00001000", "--steps", "-1"],
+    ],
+    ids=["tmax", "sample-every", "initial", "initial-short", "classical-steps", "strobe-steps"],
+)
+def test_bad_arguments_rejected_before_creating_output(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main([*args, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bonds", [(9,), (0,), (1, 8)])
 def test_bond_outside_lattice_rejected_before_evolving(bonds):
     config = RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bonds",), bonds=bonds)
@@ -391,7 +410,7 @@ _L22 = ["--length", "22", "--initial", "00" + "101100101100110100" + "00"]
         # building and evolving on the 2**20 block as built, with no second copy
         pytest.param(
             ["evolve", "--length", "24", "--initial", "001011001011001101001000",
-             "--tmax", "0.05"], 650, id="evolve-l24",
+             "--tmax", "0.05"], 450, id="evolve-l24",
         ),
         # the stroboscopic step holds 22 single-site spinors, never a 2**22 vector
         pytest.param(["strobe", *_L22, "--steps", "5"], 150, id="strobe"),
