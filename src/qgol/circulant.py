@@ -90,7 +90,7 @@ def ring_eigensystem(n: int, hopping: float = 1.0) -> RingModel:
     eigenvectors = np.exp(-2j * pi * k * m[None, :] / n) / np.sqrt(n)
     h = ring_hamiltonian(n, hopping)
     residual = np.linalg.norm(h @ eigenvectors - eigenvectors * eigenvalues[None, :])
-    if residual > 1e-10 * max(1.0, abs(hopping)):
+    if not residual <= 1e-10 * max(1.0, abs(hopping)):  # a NaN residual fails too
         raise AssertionError(f"circulant eigensystem residual {residual:.3e}")
     return RingModel(n=n, hopping=hopping, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
@@ -103,7 +103,7 @@ def ring_evolution(model: RingModel, k0: int, t: float) -> np.ndarray:
     amplitudes = model.eigenvectors @ (phases * model.eigenvectors[k0].conj())
     probabilities = np.abs(amplitudes) ** 2
     total = probabilities.sum()
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # a NaN total fails too
         raise AssertionError(f"ring evolution lost probability: sum = {total!r}")
     return probabilities
 

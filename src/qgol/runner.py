@@ -16,7 +16,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from math import floor
+from math import floor, inf, isfinite
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,8 +50,7 @@ from .quantum_info import (
 )
 
 MAX_SITES = 24  # largest L whose amplitudes `evolve` and `ensemble` will hold
-
-KINDS = ("evolve", "classical", "strobe", "ensemble", "circulant")
+MAX_PERIOD = 64  # largest ring `circulant` checks: about period**4 / 64 gap ratios
 
 QUANTUM_WINDOW = (25.0, 30.0)
 CLASSICAL_WINDOW = (83.0, 100.0)
@@ -156,8 +155,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 <= self.t_max < inf:
+            raise ValueError(f"t_max must be finite and nonnegative, got {self.t_max}")
         if self.rho0 is not None and not 0.0 <= self.rho0 <= 1.0:
             raise ValueError(f"initial density {self.rho0} outside [0, 1]")
         if self.kind in ("evolve", "classical", "strobe", "ensemble"):
@@ -168,6 +169,8 @@ class RunConfig:
                     raise ValueError("ensemble runs need an initial density rho0")
                 if self.seed is None:
                     raise ValueError("random initial states need a seed")
+                if self.seed < 0:
+                    raise ValueError(f"seed must be nonnegative, got {self.seed}")
             elif self.initial is None:
                 raise ValueError(f"{self.kind} runs need an initial bitstring")
             if self.initial is not None:
@@ -198,11 +201,23 @@ class RunConfig:
         if self.kind == "circulant":
             if self.period < 2:
                 raise ValueError(f"ring needs at least two configurations, got {self.period}")
+            if self.period > MAX_PERIOD:
+                raise ValueError(
+                    f"period = {self.period} exceeds the gap-ratio bound (period <= {MAX_PERIOD})"
+                )
             if not 0 <= self.k0 < self.period:
                 raise ValueError(f"configuration index {self.k0} outside [0, {self.period})")
+            if not isfinite(self.hopping):
+                raise ValueError(f"hopping must be finite, got {self.hopping}")
+            if not 0 < self.tolerance < inf:
+                raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+            if self.q_max < 1:
+                raise ValueError(f"q_max must be >= 1, got {self.q_max}")
         unknown = set(self.measures) - set(MEASURES)
         if unknown:
             raise ValueError(f"unknown measures {sorted(unknown)}; choose from {MEASURES}")
+        if self.kind == "evolve" and not self.measures:
+            raise ValueError(f"evolve runs need at least one measure; choose from {MEASURES}")
         if self.window is not None and self.window[0] > self.window[1]:
             raise ValueError(f"window {self.window} is empty")
         if self.workers < 1:
@@ -265,16 +280,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _sha256(path: Path) -> str:
+def _write_csv(path: Path, header, rows) -> str:
+    """Write one table; returns the SHA-256 of the bytes written."""
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    with open(path, "wb") as f:
+        for fields in (header, *rows):
+            line = (",".join(map(_fmt, fields)) + "\n").encode("utf-8")
+            f.write(line)
+            digest.update(line)
     return digest.hexdigest()
 
 
@@ -299,10 +312,11 @@ def _initial_config(config: RunConfig) -> SpinConfig:
 
 
 # ---------------------------------------------------------------------------
-# the experiment kinds
+# the experiment kinds: each returns its tables, {name: (header, rows)}, in
+# file order, and its summary
 
 
-def _run_evolve(config: RunConfig, out: Path) -> tuple[dict, dict]:
+def _run_evolve(config: RunConfig) -> tuple[dict, dict]:
     rows = {name: [] for name in MEASURES if name in config.measures}
 
     def observe(t, state):
@@ -311,15 +325,11 @@ def _run_evolve(config: RunConfig, out: Path) -> tuple[dict, dict]:
             measure_rows += ([t, *row] for row in _MEASURE_TABLE[name].rows(config, snapshot))
 
     trajectory = _evolve(config, _initial_config(config), observe)
-    files = {}
-    for name, measure_rows in rows.items():
-        files[name] = out / f"{name}.csv"
-        _write_csv(files[name], ["time", *_MEASURE_TABLE[name].header(config)], measure_rows)
-    summary = {
-        "snapshots": len(trajectory.times),
-        "norm_drift": trajectory.norm_drift,
+    tables = {
+        name: (["time", *_MEASURE_TABLE[name].header(config)], measure_rows)
+        for name, measure_rows in rows.items()
     }
-    return files, summary
+    return tables, {"snapshots": len(trajectory.times), "norm_drift": trajectory.norm_drift}
 
 
 def _classical_rows(traj):
@@ -332,16 +342,14 @@ def _classical_rows(traj):
 _CLASSICAL_HEADER = ["step", "time", "config", *_DISCRETE]
 
 
-def _run_discrete(config: RunConfig, out: Path) -> tuple[dict, dict]:
+def _run_discrete(config: RunConfig) -> tuple[dict, dict]:
     """The classical rule or its stroboscopic-projective counterpart, one row per step."""
     initial = _initial_config(config)
     if config.kind == "strobe":
         traj = stroboscopic_quantum(build_hamiltonian(config.L), initial, config.steps)
     else:
         traj = classical_trajectory(initial, config.steps)
-    path = out / f"{config.kind}.csv"
-    _write_csv(path, _CLASSICAL_HEADER, _classical_rows(traj))
-    return {config.kind: path}, {"steps": config.steps}
+    return {config.kind: (_CLASSICAL_HEADER, _classical_rows(traj))}, {"steps": config.steps}
 
 
 def _ensemble_sample(args) -> dict:
@@ -401,72 +409,52 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     )
 
 
-def _run_ensemble(config: RunConfig, out: Path) -> tuple[dict, dict]:
+def _run_ensemble(config: RunConfig) -> tuple[dict, dict]:
     result = run_ensemble(config)
-    header = ["sample", "config", *_SCALARS, "norm_drift"]
-    rows = [[r["sample"], r["config"], *(r[k] for k in _SCALARS), r["norm_drift"]] for r in result.samples]
-    path = out / "ensemble.csv"
-    _write_csv(path, header, rows)
-    summary_path = out / "ensemble_summary.csv"
-    _write_csv(
-        summary_path,
-        ["quantity", "mean", "standard_error"],
-        [[k, result.means[k], result.standard_errors[k]] for k in _SCALARS],
-    )
+    tables = {
+        "ensemble": (
+            ["sample", "config", *_SCALARS, "norm_drift"],
+            [[r["sample"], r["config"], *(r[k] for k in _SCALARS), r["norm_drift"]]
+             for r in result.samples],
+        ),
+        "ensemble_summary": (
+            ["quantity", "mean", "standard_error"],
+            [[k, result.means[k], result.standard_errors[k]] for k in _SCALARS],
+        ),
+    }
     summary = {
         "means": result.means,
         "standard_errors": result.standard_errors,
         "quantum_window": list(result.quantum_window),
         "classical_window": list(result.classical_window),
     }
-    return {"ensemble": path, "ensemble_summary": summary_path}, summary
+    return tables, summary
 
 
-def _run_circulant(config: RunConfig, out: Path) -> tuple[dict, dict]:
+def _run_circulant(config: RunConfig) -> tuple[dict, dict]:
     model = ring_eigensystem(config.period, config.hopping)
-    files = {}
-    path = out / "eigenvalues.csv"
-    _write_csv(
-        path,
-        ["m", "energy"],
-        [[m, model.eigenvalues[m]] for m in range(model.n)],
-    )
-    files["eigenvalues"] = path
-
     report = commensurability_check(config.period, config.tolerance, config.q_max)
-    rows = []
-    count = len(report.gaps)
-    for a in range(count):
-        for b in range(count):
-            frac = report.fractions[a * count + b]
-            rows.append(
-                [
-                    a,
-                    b,
-                    report.gaps[a],
-                    report.gaps[b],
-                    report.ratios[a, b],
-                    report.rational[a, b],
-                    frac.numerator if frac is not None else "",
-                    frac.denominator if frac is not None else "",
-                ]
-            )
-    path = out / "gap_ratios.csv"
-    _write_csv(path, ["a", "b", "gap_a", "gap_b", "ratio", "rational", "p", "q"], rows)
-    files["gap_ratios"] = path
-
+    gaps = report.gaps
+    ratio_rows = [
+        [a, b, gaps[a], gaps[b], report.ratios[a, b], report.rational[a, b],
+         *((frac.numerator, frac.denominator) if frac is not None else ("", ""))]
+        for (a, b), frac in zip(np.ndindex(report.ratios.shape), report.fractions)
+    ]
     times = np.arange(0.0, config.t_max + 0.5 * config.dt, config.dt)
-    rows = [[t, *ring_evolution(model, config.k0, t)] for t in times]
-    path = out / "ring_evolution.csv"
-    _write_csv(path, ["time"] + [f"p_{k}" for k in range(model.n)], rows)
-    files["ring_evolution"] = path
-
+    tables = {
+        "eigenvalues": (["m", "energy"], [[m, model.eigenvalues[m]] for m in range(model.n)]),
+        "gap_ratios": (["a", "b", "gap_a", "gap_b", "ratio", "rational", "p", "q"], ratio_rows),
+        "ring_evolution": (
+            ["time", *(f"p_{k}" for k in range(model.n))],
+            [[t, *ring_evolution(model, config.k0, t)] for t in times],
+        ),
+    }
     summary = {
         "period": config.period,
         "commensurate": bool(report.commensurate),
-        "gaps": [float(g) for g in report.gaps],
+        "gaps": [float(g) for g in gaps],
     }
-    return files, summary
+    return tables, summary
 
 
 _RUNNERS = {
@@ -476,28 +464,31 @@ _RUNNERS = {
     "ensemble": _run_ensemble,
     "circulant": _run_circulant,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> dict:
     """Execute a configured experiment; returns the manifest record.
 
-    Writes one CSV per measure plus ``manifest.json`` (full configuration,
-    code version, wall time, and a content hash per output file) into the
-    output directory.
+    Writes each table of the run as ``<name>.csv`` plus ``manifest.json``
+    (full configuration, code version, wall time, and the SHA-256 of each
+    file's bytes) into the output directory.
     """
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    files, summary = _RUNNERS[config.kind](config, out)
+    tables, summary = _RUNNERS[config.kind](config)
+    files = [
+        {"name": f"{name}.csv", "sha256": _write_csv(out / f"{name}.csv", header, rows)}
+        for name, (header, rows) in tables.items()
+    ]
     manifest = {
         "config": asdict(config),
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - started,
         "summary": summary,
-        "files": [
-            {"name": path.name, "sha256": _sha256(path)} for path in files.values()
-        ],
+        "files": files,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, default=str)

@@ -114,3 +114,10 @@ def test_commensurability_examples():
     assert not commensurability_check(5).commensurate
     assert commensurability_check(3).commensurate  # levels 2J, -J: single gap
     assert commensurability_check(6).commensurate  # levels 2, 1, -1, -2
+
+
+def test_nan_fails_the_ring_checks():
+    with pytest.raises(AssertionError, match="residual"):
+        ring_eigensystem(4, float("nan"))
+    with pytest.raises(AssertionError, match="probability"):
+        ring_evolution(ring_eigensystem(4), 0, float("nan"))

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgol import (
     RunConfig,
@@ -132,14 +136,45 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
         ["classical", "--length", "8", "--initial", "0001000 ", "--steps", "1"],
         ["classical", "--length", "8", "--initial", "00001000", "--steps", "-1"],
         ["strobe", "--length", "8", "--initial", "00001000", "--steps", "-1"],
+        ["circulant", "--tmax", "-1"],
+        ["circulant", "--dt", "nan"],
+        ["evolve", "--length", "8", "--initial", "00001000", "--dt", "inf"],
+        ["evolve", "--length", "8", "--initial", "00001000", "--tmax", "inf"],
+        ["circulant", "--tolerance", "0"],
+        ["circulant", "--tolerance=-1e-9"],
+        ["circulant", "--tolerance", "nan"],
+        ["circulant", "--qmax", "0"],
+        ["circulant", "--hopping", "nan", "--tmax", "1"],
+        ["circulant", "--hopping", "inf", "--tmax", "1"],
+        ["ensemble", "--length", "8", "--density", "0.5", "--samples", "1", "--seed", "-1",
+         "--tmax", "3", "--window", "0,3"],
+        ["evolve", "--length", "8", "--initial", "00001000", "--measures", ","],
     ],
-    ids=["tmax", "sample-every", "initial", "initial-short", "classical-steps", "strobe-steps"],
+    ids=["tmax", "sample-every", "initial", "initial-short", "classical-steps", "strobe-steps",
+         "ring-tmax", "ring-dt-nan", "dt-inf", "tmax-inf", "tolerance-zero",
+         "tolerance-negative", "tolerance-nan", "qmax", "hopping-nan", "hopping-inf",
+         "negative-seed", "no-measures"],
 )
 def test_bad_arguments_rejected_before_creating_output(tmp_path, capsys, args):
     out = tmp_path / "run"
     assert main([*args, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not out.exists()
+
+
+def test_period_above_bound_rejected_before_any_work(monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("analysed the ring before rejecting its period")
+
+    monkeypatch.setattr("qgol.runner.ring_eigensystem", never)
+    monkeypatch.setattr("qgol.runner.commensurability_check", never)
+    bound = qgol.runner.MAX_PERIOD
+    out = tmp_path / "ring"
+    assert main(["circulant", "--period", str(bound + 1), "--tmax", "1", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError" and f"period <= {bound}" in record["message"]
+    assert not out.exists()
+    RunConfig(kind="circulant", period=bound).validate()
 
 
 @pytest.mark.parametrize("bonds", [(9,), (0,), (1, 8)])
@@ -232,13 +267,32 @@ def test_ensemble_result_fields():
     assert result.classical_window == (83.0, 100.0)
 
 
-def test_manifest_hashes(tmp_path):
-    import hashlib
+#: A small run of each kind, with the CSVs it writes in the order it writes them.
+_ONE_RUN_PER_KIND = {
+    "evolve": (
+        dict(L=8, initial="00101100", t_max=0.5, sample_every=25,
+             measures=("bonds", "mi", "populations")),
+        ["populations.csv", "mi.csv", "bonds.csv"],
+    ),
+    "classical": (dict(L=11, initial="00001010000", steps=3), ["classical.csv"]),
+    "strobe": (dict(L=11, initial="00001010000", steps=3), ["strobe.csv"]),
+    "ensemble": (
+        dict(L=8, rho0=0.5, samples=2, seed=3, t_max=1.0, sample_every=50, window=(0.5, 1.0)),
+        ["ensemble.csv", "ensemble_summary.csv"],
+    ),
+    "circulant": (
+        dict(period=5, t_max=1.0, dt=0.1),
+        ["eigenvalues.csv", "gap_ratios.csv", "ring_evolution.csv"],
+    ),
+}
 
-    config = RunConfig(
-        kind="classical", L=11, initial="00001010000", steps=3, out_dir=str(tmp_path)
-    )
-    manifest = run(config)
+
+@pytest.mark.parametrize("kind", list(_ONE_RUN_PER_KIND))
+def test_manifest_hashes(tmp_path, kind):
+    options, names = _ONE_RUN_PER_KIND[kind]
+    manifest = run(RunConfig(kind=kind, out_dir=str(tmp_path), **options))
+    assert [entry["name"] for entry in manifest["files"]] == names
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
     for entry in manifest["files"]:
         digest = hashlib.sha256((tmp_path / entry["name"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
@@ -336,6 +390,46 @@ def test_config_file_sets_every_field(tmp_path):
     parsed = read_config_file(cfg)
     assert parsed == expected
     assert all(type(parsed[k]) is type(v) for k, v in expected.items())
+
+
+@pytest.mark.parametrize("line", ["L = abc", "window = 1", "bonds = 1,x", "colour = red"])
+def test_config_file_bad_value_names_its_line(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# a run\nL = 8\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:3: "):
+        read_config_file(cfg)
+
+
+_config_line = st.one_of(
+    st.text(),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from([f.name for f in fields(RunConfig)]),
+        st.one_of(st.text(), st.integers().map(str), st.floats().map(repr)),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_config_line, max_size=6))
+def test_config_parser_parses_or_names_the_bad_line(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            read_config_file(path)
+        except ValueError as exc:
+            match = re.match(f"{re.escape(str(path))}:([0-9]+): ", str(exc))
+            assert match, str(exc)
+            with open(path, encoding="utf-8") as f:
+                seen = f.readlines()  # the lines as the parser numbers them
+            lineno = int(match.group(1))
+            assert 1 <= lineno <= len(seen)
+            path.write_text("".join(seen[: lineno - 1]), encoding="utf-8")
+            read_config_file(path)  # every line before the named one parses
+            path.write_text(seen[lineno - 1], encoding="utf-8")
+            with pytest.raises(ValueError):
+                read_config_file(path)  # and the named line alone does not
 
 
 def test_cli_measures_all(tmp_path, capsys):
