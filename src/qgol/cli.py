@@ -1,8 +1,9 @@
 """Command line front end: one subcommand per experiment kind.
 
 Each subcommand reads an optional key-value config file and applies flag
-overrides on top.  Success exits 0 and prints the manifest; any failure
-prints a machine-readable JSON error record to stderr and exits nonzero.
+overrides on top.  Success exits 0 and prints the manifest (``-h`` exits 0
+too); any failure, a bad flag included, prints a machine-readable JSON
+error record to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -36,25 +37,28 @@ _FLAGS = {
     "--tolerance": ("tolerance", float, "continued-fraction termination tolerance"),
 }
 
-#: Type of every config key; the structured ones are parsed in `_parse_value`.
+#: Type of every config key and flag; the structured ones are parsed in `_parse_value`.
 _KEY_TYPES = {"kind": str, **{dest: type_ for dest, type_, _ in _FLAGS.values()}}
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key == "measures":
-        names = tuple(v.strip() for v in raw.split(",") if v.strip())
-        return tuple(MEASURES) if names == ("all",) else names
-    if key == "window":
-        parts = [float(v) for v in raw.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"window needs two comma-separated times, got {raw!r}")
-        return (parts[0], parts[1])
-    if key in ("concurrence_distances", "bonds"):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if key not in _KEY_TYPES:
-        raise ValueError(f"unknown config key {key!r}")
-    return _KEY_TYPES[key](raw)
+def _parse_value(origin: str, key: str, raw: str):
+    """Convert one raw value, from a flag or a config-file line; an error names ``origin``."""
+    try:
+        if key == "measures":
+            names = tuple(v.strip() for v in raw.split(",") if v.strip())
+            return tuple(MEASURES) if names == ("all",) else names
+        if key == "window":
+            parts = [float(v) for v in raw.split(",")]
+            if len(parts) != 2:
+                raise ValueError(f"window needs two comma-separated times, got {raw!r}")
+            return (parts[0], parts[1])
+        if key in ("concurrence_distances", "bonds"):
+            return tuple(int(v) for v in raw.split(",") if v.strip())
+        if key not in _KEY_TYPES:
+            raise ValueError(f"unknown config key {key!r}")
+        return _KEY_TYPES[key](raw)
+    except ValueError as exc:
+        raise ValueError(f"{origin}: {exc}") from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -68,18 +72,17 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
-            try:
-                values[key] = _parse_value(key, raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            values[key] = _parse_value(f"{path}:{lineno}", key, raw)
     return values
 
 
-_STRING_PARSED = ("measures", "window", "concurrence_distances", "bonds")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` reports it as it reports any other failure
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgol",
         description="Exact simulation of the quantum Game of Life spin chain.",
     )
@@ -87,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", help="key-value config file; flags override it")
-        for flag, (dest, type_, help_) in _FLAGS.items():
-            p.add_argument(flag, dest=dest, type=type_, default=None, help=help_)
+        for flag, (dest, _, help_) in _FLAGS.items():
+            p.add_argument(flag, dest=dest, help=help_)  # a raw string until `_parse_value`
     return parser
 
 
@@ -98,18 +101,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         file_values = read_config_file(args.config)
         file_values.pop("kind", None)  # the subcommand owns the kind
         values.update(file_values)
-    for dest, *_ in _FLAGS.values():
-        raw = getattr(args, dest, None)
-        if raw is None:
-            continue
-        values[dest] = _parse_value(dest, raw) if dest in _STRING_PARSED else raw
+    for flag, (dest, *_) in _FLAGS.items():
+        if getattr(args, dest) is not None:
+            values[dest] = _parse_value(flag, dest, getattr(args, dest))
     return RunConfig(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
         manifest = run(config)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, never crashes
         record = {"error": type(exc).__name__, "message": str(exc)}

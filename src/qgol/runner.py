@@ -173,12 +173,7 @@ class RunConfig:
                     raise ValueError(f"seed must be nonnegative, got {self.seed}")
             elif self.initial is None:
                 raise ValueError(f"{self.kind} runs need an initial bitstring")
-            if self.initial is not None:
-                # parsed as the run parses it: surrounding whitespace is dropped
-                bits = self.initial.strip()
-                if len(bits) != self.L:
-                    raise ValueError(f"invalid bitstring length: {len(bits)} for L = {self.L}")
-                SpinConfig.from_string(bits)
+            _initial_config(self)
             for label, values in (("bond", self.bonds or ()),
                                   ("concurrence distance", self.concurrence_distances)):
                 outside = [v for v in values if not 1 <= v <= self.L - 1]
@@ -218,6 +213,8 @@ class RunConfig:
             raise ValueError(f"unknown measures {sorted(unknown)}; choose from {MEASURES}")
         if self.kind == "evolve" and not self.measures:
             raise ValueError(f"evolve runs need at least one measure; choose from {MEASURES}")
+        if "concurrence" in self.measures and not self.concurrence_distances:
+            raise ValueError("concurrence needs at least one concurrence distance")
         if self.window is not None and self.window[0] > self.window[1]:
             raise ValueError(f"window {self.window} is empty")
         if self.workers < 1:
@@ -305,10 +302,13 @@ def _evolve(config: RunConfig, initial: SpinConfig, observe):
 
 
 def _initial_config(config: RunConfig) -> SpinConfig:
-    if config.initial is not None:
-        return SpinConfig.from_string(config.initial)
-    rng = sample_rng(config.seed, 0)
-    return sample_random_fock(config.L, config.rho0, rng)
+    """The run's initial configuration; `validate` calls it to check the state."""
+    if config.initial is None:
+        return sample_random_fock(config.L, config.rho0, sample_rng(config.seed, 0))
+    bits = config.initial.strip()
+    if len(bits) != config.L:
+        raise ValueError(f"invalid bitstring length: {len(bits)} for L = {config.L}")
+    return SpinConfig.from_string(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -149,17 +149,62 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
         ["ensemble", "--length", "8", "--density", "0.5", "--samples", "1", "--seed", "-1",
          "--tmax", "3", "--window", "0,3"],
         ["evolve", "--length", "8", "--initial", "00001000", "--measures", ","],
+        ["evolve", "--length", "8", "--initial", "00010000", "--measures", "concurrence",
+         "--distances", ","],
+        ["evolve", "--length", "3", "--density", "0.5", "--seed", "1"],
+        ["ensemble", "--length", "4", "--density", "0.5", "--samples", "1", "--seed", "1",
+         "--tmax", "3", "--window", "0,3"],
+        ["strobe", "--length", "4", "--density", "0.5", "--seed", "1", "--steps", "1"],
     ],
     ids=["tmax", "sample-every", "initial", "initial-short", "classical-steps", "strobe-steps",
          "ring-tmax", "ring-dt-nan", "dt-inf", "tmax-inf", "tolerance-zero",
          "tolerance-negative", "tolerance-nan", "qmax", "hopping-nan", "hopping-inf",
-         "negative-seed", "no-measures"],
+         "negative-seed", "no-measures", "no-distances", "evolve-l3", "ensemble-l4",
+         "strobe-l4"],
 )
 def test_bad_arguments_rejected_before_creating_output(tmp_path, capsys, args):
     out = tmp_path / "run"
     assert main([*args, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["evolve", "--length", "abc"], "--length"),
+        (["classical", "--bogus", "1"], "--bogus"),
+        ([], "kind"),
+        (["zap"], "zap"),
+        # argparse reads an exponent-form negative number as an option
+        (["circulant", "--hopping", "-1e-3"], "--hopping"),
+        (["evolve", "--window", "1"], "--window"),
+    ],
+    ids=["bad-value", "unknown-flag", "no-subcommand", "unknown-subcommand",
+         "exponent-negative", "window"],
+)
+def test_command_line_errors_are_json_records(tmp_path, capsys, args, named):
+    out = tmp_path / "run"
+    # with no subcommand at all, the --out path would be read as one
+    assert main([*args, "--out", str(out)] if args else []) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError" and named in record["message"]
+    assert not out.exists()
+
+
+def test_exponent_negative_value_runs_in_equals_form_and_help_exits_zero(tmp_path, capsys):
+    args = ["circulant", "--tmax", "1", "--out", str(tmp_path / "ring")]
+    assert main([*args, "--hopping", "-1e-3"]) == 1
+    assert "--hopping" in json.loads(capsys.readouterr().err)["message"]
+    assert main([*args, "--hopping=-1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["hopping"] == -1e-3
+    for argv in (["-h"], ["evolve", "-h"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert "usage: qgol" in capsys.readouterr().out
 
 
 def test_period_above_bound_rejected_before_any_work(monkeypatch, tmp_path, capsys):
@@ -184,7 +229,7 @@ def test_bond_outside_lattice_rejected_before_evolving(bonds):
         config.validate()
 
 
-@pytest.mark.parametrize("distances", [(0,), (8,), (1, -1)])
+@pytest.mark.parametrize("distances", [(0,), (8,), (1, -1), ()])
 def test_concurrence_distance_outside_lattice_rejected_before_evolving(distances):
     config = RunConfig(
         kind="evolve", L=8, initial="0" * 8, measures=("concurrence",),
