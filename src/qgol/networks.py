@@ -12,6 +12,8 @@ def _check_matrix(mi) -> np.ndarray:
     mi = np.asarray(mi, dtype=float)
     if mi.ndim != 2 or mi.shape[0] != mi.shape[1]:
         raise ValueError("adjacency matrix must be square")
+    if not np.isfinite(mi).all():
+        raise ValueError("adjacency weights must be finite")
     if np.abs(mi - mi.T).max() > 1e-10:
         raise ValueError("adjacency matrix must be symmetric")
     if np.abs(np.diag(mi)).max() > 1e-10:

@@ -37,7 +37,10 @@ def local_population(state: StateVector) -> np.ndarray:
 
 def discretize(profile) -> np.ndarray:
     """Threshold a population profile at 0.5; ties (n_i = 0.5) go to dead."""
-    return np.where(np.asarray(profile) > 0.5, 1, 0).astype(np.int8)
+    profile = np.asarray(profile)
+    if not np.isfinite(profile).all():
+        raise ValueError("population profile must be finite")
+    return np.where(profile > 0.5, 1, 0).astype(np.int8)
 
 
 def density(d) -> float:

@@ -15,14 +15,7 @@ from .lattice import StateVector
 #: Eigenvalues below this are dropped from entropies (0 log 0 := 0).
 EIGENVALUE_FLOOR = 1e-12
 
-_SIGMA_YY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).copy()  # sigma_y (x) sigma_y
 
 
 def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
@@ -66,22 +59,26 @@ def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
 
 
 def _check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Check one density matrix, or a stack along the leading axes; NaN fails every test."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError(f"density matrix trace {np.trace(rho)!r} != 1")
+    if not (np.abs(rho - rho.conj().swapaxes(-1, -2)) <= tol).all():
+        raise ValueError("density matrix is not Hermitian, or not finite")
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = ~(np.abs(trace - 1.0) <= tol)
+    if bad.any():
+        raise ValueError(f"density matrix trace {trace[bad]} != 1")
     return rho
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr(rho log2 rho) over eigenvalues above `EIGENVALUE_FLOOR`."""
-    rho = _check_density_matrix(rho)
-    lam = np.linalg.eigvalsh(rho)
-    lam = lam[lam > EIGENVALUE_FLOOR]
-    return max(0.0, float(-(lam * np.log2(lam)).sum()))
+def von_neumann_entropy(rho: np.ndarray):
+    """-Tr(rho log2 rho) over eigenvalues above `EIGENVALUE_FLOOR`: a float for one
+    matrix, an array for a stack along the leading axes."""
+    lam = np.linalg.eigvalsh(_check_density_matrix(rho))
+    lam = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)  # 1 log 1 = 0 drops the rest
+    s = np.maximum(-(lam * np.log2(lam)).sum(axis=-1), 0.0)
+    return float(s) if s.ndim == 0 else s
 
 
 def single_site_entropies(state: StateVector) -> np.ndarray:
@@ -90,12 +87,8 @@ def single_site_entropies(state: StateVector) -> np.ndarray:
     The full 2x2 reduced matrix is built each time; coherences are not
     assumed to vanish.
     """
-    return np.array(
-        [
-            von_neumann_entropy(reduced_density_matrix(state, [s]))
-            for s in range(1, state.L + 1)
-        ]
-    )
+    sites = range(1, state.L + 1)
+    return von_neumann_entropy(np.array([reduced_density_matrix(state, [s]) for s in sites]))
 
 
 def two_site_entropy(state: StateVector, i: int, j: int) -> float:
@@ -111,51 +104,47 @@ def mutual_information_matrix(state: StateVector) -> np.ndarray:
     The factor 1/2 is the convention used throughout; diagonal entries are
     zero and negative round-off is clamped to zero.
     """
-    L = state.L
     singles = single_site_entropies(state)
-    mi = np.zeros((L, L))
-    for i in range(1, L + 1):
-        for j in range(i + 1, L + 1):
-            value = 0.5 * (
-                singles[i - 1] + singles[j - 1] - two_site_entropy(state, i, j)
-            )
-            if value < -1e-10:
-                raise ValueError(
-                    f"mutual information {value!r} below round-off floor at ({i}, {j})"
-                )
-            mi[i - 1, j - 1] = mi[j - 1, i - 1] = max(value, 0.0)
+    i, j = np.triu_indices(state.L, 1)
+    pairs = [reduced_density_matrix(state, [a + 1, b + 1]) for a, b in zip(i, j)]
+    value = 0.5 * (singles[i] + singles[j] - von_neumann_entropy(np.reshape(pairs, (-1, 4, 4))))
+    bad = np.flatnonzero(value < -1e-10)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"mutual information {float(value[k])!r} below round-off floor at "
+            f"({i[k] + 1}, {j[k] + 1})"
+        )
+    mi = np.zeros((state.L, state.L))
+    mi[i, j] = mi[j, i] = np.maximum(value, 0.0)
     return mi
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray):
     """Wootters concurrence of a two-qubit density matrix.
 
     Uses the eigenvalues of rho @ rho_tilde (rho_tilde the spin-flipped
     conjugate), whose square roots equal the singular chain of the
     textbook matrix-square-root construction.  Negative real parts beyond
-    1e-8 indicate an invalid input and raise.
+    1e-8 indicate an invalid input and raise.  Stacks as `von_neumann_entropy`.
     """
     rho = _check_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 matrix, got {rho.shape}")
-    rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    lam = np.linalg.eigvals(rho @ rho_tilde)
-    re = lam.real
-    if re.min() < -1e-8 or np.abs(lam.imag).max() > 1e-8:
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence needs 4x4 matrices, got {rho.shape}")
+    lam = np.linalg.eigvals(rho @ (_SIGMA_YY @ rho.conj() @ _SIGMA_YY))
+    if not ((lam.real >= -1e-8) & (np.abs(lam.imag) <= 1e-8)).all():
         raise ValueError("rho * rho_tilde has eigenvalues too far from the real axis")
-    roots = np.sort(np.sqrt(np.clip(re, 0.0, None)))[::-1]
-    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+    r = np.sort(np.sqrt(np.clip(lam.real, 0.0, None)), axis=-1)  # ascending
+    c = np.maximum(r[..., 3] - r[..., 2] - r[..., 1] - r[..., 0], 0.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def average_concurrence(state: StateVector, d: int) -> float:
     """Mean concurrence over every site pair (i, i + d), boundaries included."""
     if not 1 <= d <= state.L - 1:
         raise ValueError(f"distance {d} outside [1, {state.L - 1}]")
-    values = [
-        concurrence(reduced_density_matrix(state, [i, i + d]))
-        for i in range(1, state.L - d + 1)
-    ]
-    return float(np.mean(values))
+    pairs = [reduced_density_matrix(state, [i, i + d]) for i in range(1, state.L - d + 1)]
+    return float(np.mean(concurrence(np.array(pairs))))
 
 
 def bond_entropy(state: StateVector, j: int) -> float:

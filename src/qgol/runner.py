@@ -118,8 +118,9 @@ _MEASURE_TABLE = {
         lambda c, s: [[average_concurrence(s.state, d) for d in c.concurrence_distances]],
     ),
     "bonds": _Measure(
-        lambda c: [f"bond_{j}" for j in c.bonds or range(1, c.L)],
-        lambda c, s: [[bond_entropy(s.state, j) for j in c.bonds or range(1, c.L)]],
+        lambda c: [f"bond_{j}" for j in (range(1, c.L) if c.bonds is None else c.bonds)],
+        lambda c, s: [[bond_entropy(s.state, j)
+                       for j in (range(1, c.L) if c.bonds is None else c.bonds)]],
     ),
 }
 MEASURES = tuple(_MEASURE_TABLE)
@@ -215,6 +216,8 @@ class RunConfig:
             raise ValueError(f"evolve runs need at least one measure; choose from {MEASURES}")
         if "concurrence" in self.measures and not self.concurrence_distances:
             raise ValueError("concurrence needs at least one concurrence distance")
+        if "bonds" in self.measures and self.bonds is not None and not self.bonds:
+            raise ValueError("bonds needs at least one bond; omit the list for every bond")
         if self.window is not None and self.window[0] > self.window[1]:
             raise ValueError(f"window {self.window} is empty")
         if self.workers < 1:

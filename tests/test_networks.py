@@ -76,6 +76,13 @@ def test_disparity_range(rng):
         assert 0.0 <= y <= 1.0
 
 
+@pytest.mark.parametrize("measure", [network_density, disparity, network_clustering])
+def test_nan_adjacency_rejected(measure):
+    m = single_link(3, 0, 1, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        measure(m)
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         network_density(np.ones((3, 4)))

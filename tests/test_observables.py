@@ -48,6 +48,12 @@ def test_discretize_tie_breaks_to_dead():
     assert np.array_equal(discretize([0.9, 0.2, 0.51]), [1, 0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_discretize_rejects_a_non_finite_population(bad):
+    with pytest.raises(ValueError, match="finite"):
+        discretize([bad, 0.7])
+
+
 def test_density_examples():
     assert density([0, 0, 0, 0]) == 0.0
     assert density([1, 1, 1]) == 1.0

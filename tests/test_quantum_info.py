@@ -97,6 +97,71 @@ def test_entropy_validation():
         von_neumann_entropy(np.diag([0.7, 0.7]))
 
 
+def random_density_matrix(rng, n, rank):
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_stack(rng, n, count=40):
+    # every rank, so pure states (eigenvalues under the floor) are in every stack
+    return np.array([random_density_matrix(rng, n, 1 + k % n) for k in range(count)])
+
+
+def test_stacked_spectra_equal_one_matrix_at_a_time(rng):
+    for n in (2, 4):
+        stack = random_stack(rng, n)
+        entropies = von_neumann_entropy(stack)
+        assert entropies.shape == (len(stack),)
+        assert all(entropies[k] == von_neumann_entropy(rho) for k, rho in enumerate(stack))
+        # any number of leading axes
+        assert np.array_equal(von_neumann_entropy(stack.reshape(4, -1, n, n)),
+                              entropies.reshape(4, -1))
+    stack = random_stack(rng, 4)
+    values = concurrence(stack)
+    assert values.shape == (len(stack),) and values.max() > 0.0
+    assert all(values[k] == concurrence(rho) for k, rho in enumerate(stack))
+    assert type(von_neumann_entropy(stack[0])) is float and type(concurrence(stack[0])) is float
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize(
+    "spoil, match",
+    [
+        (lambda rho: rho + np.triu(np.full_like(rho, 1e-3), 1), "Hermitian"),
+        (lambda rho: 1.5 * rho, "trace"),
+        (lambda rho: np.where(np.eye(len(rho)) == 1, rho, np.nan), "finite"),
+    ],
+    ids=["non-hermitian", "trace", "nan"],
+)
+def test_one_bad_matrix_fails_the_whole_stack(rng, n, spoil, match):
+    stack = random_stack(rng, n, count=10)
+    stack[6] = spoil(stack[6])
+    with pytest.raises(ValueError, match=match):
+        von_neumann_entropy(stack)
+    if n == 4:
+        with pytest.raises(ValueError, match=match):
+            concurrence(stack)
+
+
+def test_nan_density_matrices_rejected():
+    coherent = np.eye(4) / 4
+    coherent[0, 1] = coherent[1, 0] = np.nan
+    for rho in (np.full((2, 2), np.nan), coherent):
+        with pytest.raises(ValueError, match="finite"):
+            von_neumann_entropy(rho)
+    for rho in (np.full((4, 4), np.nan), coherent):  # eigvals would raise LinAlgError
+        with pytest.raises(ValueError, match="finite"):
+            concurrence(rho)
+
+
+def test_mutual_information_names_the_first_pair_below_the_floor(monkeypatch):
+    # with the single-site entropies zeroed, every GHZ pair reads -1/2
+    monkeypatch.setattr("qgol.quantum_info.single_site_entropies", lambda state: np.zeros(state.L))
+    with pytest.raises(ValueError, match=r"-0\.5 below round-off floor at \(1, 2\)"):
+        mutual_information_matrix(ghz(4))
+
+
 def test_single_site_entropies_fock():
     state = make_fock_state(SpinConfig.from_string("01101"))
     assert np.allclose(single_site_entropies(state), 0.0)

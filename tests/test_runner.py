@@ -151,6 +151,10 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
         ["evolve", "--length", "8", "--initial", "00001000", "--measures", ","],
         ["evolve", "--length", "8", "--initial", "00010000", "--measures", "concurrence",
          "--distances", ","],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
+         "bonds", "--bonds", ","],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
+         "bonds", "--config", "bonds ="],
         ["evolve", "--length", "3", "--density", "0.5", "--seed", "1"],
         ["ensemble", "--length", "4", "--density", "0.5", "--samples", "1", "--seed", "1",
          "--tmax", "3", "--window", "0,3"],
@@ -159,10 +163,14 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
     ids=["tmax", "sample-every", "initial", "initial-short", "classical-steps", "strobe-steps",
          "ring-tmax", "ring-dt-nan", "dt-inf", "tmax-inf", "tolerance-zero",
          "tolerance-negative", "tolerance-nan", "qmax", "hopping-nan", "hopping-inf",
-         "negative-seed", "no-measures", "no-distances", "evolve-l3", "ensemble-l4",
-         "strobe-l4"],
+         "negative-seed", "no-measures", "no-distances", "no-bonds", "no-bonds-config",
+         "evolve-l3", "ensemble-l4", "strobe-l4"],
 )
 def test_bad_arguments_rejected_before_creating_output(tmp_path, capsys, args):
+    if "--config" in args:  # the value after it is the config file's text
+        k = args.index("--config") + 1
+        (tmp_path / "run.cfg").write_text(args[k] + "\n")
+        args = [*args[:k], str(tmp_path / "run.cfg"), *args[k + 1:]]
     out = tmp_path / "run"
     assert main([*args, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
