@@ -27,19 +27,18 @@ from .dynamics import (
     ClassicalTrajectory,
     IntegrationError,
     Trajectory,
+    apply_hamiltonian,
     classical_f12_step,
     classical_trajectory,
+    energy_expectation,
     evolve_exact,
     evolve_rk4,
     stroboscopic_quantum,
 )
 from .hamiltonian import (
     SparseHamiltonian,
-    alive_neighbors,
-    apply_hamiltonian,
     build_hamiltonian,
     dense_hamiltonian,
-    energy_expectation,
     frozen_sector,
 )
 from .lattice import (
@@ -71,7 +70,6 @@ from .quantum_info import (
     mutual_information_matrix,
     reduced_density_matrix,
     single_site_entropies,
-    two_site_entropy,
     von_neumann_entropy,
 )
 from .runner import (

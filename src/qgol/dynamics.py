@@ -4,6 +4,9 @@ the stroboscopic-projective construction that connects them.
 The quantum engine is classic fixed-step RK4 on d/dt psi = -i H psi with
 the paper-scale default step 0.01.  Norm drift is a measured error signal:
 nothing is renormalized, and drift beyond `NORM_ABORT` aborts the run.
+RK4, the exact oracle, H psi and <psi|H|psi> all work on the
+frozen-boundary blocks a state has weight in (`_restrict`), never on the
+full 2**L operator.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hamiltonian import SparseHamiltonian, _fires, frozen_sector
-from .lattice import SpinConfig, StateVector, sector_state
+from .lattice import SpinConfig, StateVector, _amplitudes, sector_state
 
 #: Integration aborts when a sampled state drifts this far from unit norm.
 NORM_ABORT = 1e-4
@@ -111,20 +114,47 @@ def snapshot_grid(t_max: float, dt: float, sample_every: int):
     return n_full, remainder, steps, times
 
 
-def _restrict(h: SparseHamiltonian, state: StateVector):
+def _restrict(h: SparseHamiltonian, state):
     """The boundary sectors ``state`` has weight in, as (low_bits, high_bits)
     pairs, their `frozen_sector` blocks, the basis indices of those blocks
-    one after another, and the amplitudes of ``state`` at those indices."""
-    if state.sector is not None:
-        sectors = [state.sector[:2]]
+    one after another, and the amplitudes of ``state`` at those indices.
+
+    ``state`` is a `StateVector` or a raw 2**L array (a zero array has no
+    sectors); any other length raises ValueError.
+    """
+    sector = getattr(state, "sector", None)
+    if sector is not None:
+        shape, sectors = (state.dim,), [sector[:2]]
     else:
-        nz = np.flatnonzero(state.amplitudes)
+        amplitudes = _amplitudes(state)
+        shape, nz = amplitudes.shape, np.flatnonzero(amplitudes)
         codes = np.unique((nz & 3) | ((nz >> (h.L - 2)) << 2))  # low | high << 2
         sectors = [(int(c) & 3, int(c) >> 2) for c in codes]
+    if shape != (h.dim,):
+        raise ValueError(f"dimension mismatch: state {shape}, H dim {h.dim}")
     blocks = [frozen_sector(h, low, high) for low, high in sectors]
-    indices = np.concatenate([idx for idx, _ in blocks])
-    psi = state.sector.block if state.sector is not None else state.amplitudes[indices]
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *(idx for idx, _ in blocks)])
+    psi = sector.block if sector is not None else amplitudes[indices]
     return sectors, [block for _, block in blocks], indices, psi
+
+
+def apply_hamiltonian(h: SparseHamiltonian, state) -> np.ndarray:
+    """H @ psi as a 2**L vector, one block at a time; ``state`` may be a raw
+    unnormalized array, and the result is not normalized."""
+    _, blocks, indices, psi = _restrict(h, state)
+    n = 1 << (h.L - 4)  # every block is 2**(L-4) square
+    out = np.zeros(h.dim, dtype=np.result_type(psi, float))
+    for block, rows, part in zip(blocks, indices.reshape(-1, n), psi.reshape(-1, n)):
+        out[rows] = block @ part
+    return out
+
+
+def energy_expectation(h: SparseHamiltonian, state) -> float:
+    """<psi|H|psi>, summed over the blocks ``state`` has weight in (real,
+    since H is real symmetric); no 2**L vector is made for a sector state."""
+    _, blocks, _, psi = _restrict(h, state)
+    parts = psi.reshape(-1, 1 << (h.L - 4))
+    return float(sum(np.vdot(part, block @ part).real for block, part in zip(blocks, parts)))
 
 
 def _state(h: SparseHamiltonian, sectors: list, indices: np.ndarray, vec, norm_tol: float):
@@ -169,8 +199,7 @@ def evolve_rk4(
         too large for the spectral radius of H).
     """
     n_full, remainder, steps, times = snapshot_grid(t_max, dt, sample_every)
-    if initial.dim != h.dim:
-        raise ValueError(f"dimension mismatch: state {initial.dim}, H {h.dim}")
+    sectors, blocks, indices, psi = _restrict(h, initial)
     # RK4 is stable for |E| dt < 2*sqrt(2) and max|E| <= max row degree <= L-4
     if dt * h.L > 0.5:
         warnings.warn(
@@ -178,7 +207,6 @@ def evolve_rk4(
             stacklevel=2,
         )
 
-    sectors, blocks, indices, psi = _restrict(h, initial)
     # the direct sum of one block is that block: a Fock state holds one copy
     matrix = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
 
@@ -236,8 +264,6 @@ def evolve_exact(h: SparseHamiltonian, initial: StateVector, t: float) -> StateV
     """
     if h.L > EXACT_MAX_SITES:
         raise ValueError(f"dense propagation limited to L <= {EXACT_MAX_SITES}")
-    if initial.dim != h.dim:
-        raise ValueError(f"dimension mismatch: state {initial.dim}, H {h.dim}")
     sectors, blocks, indices, psi = _restrict(h, initial)
     amps = []
     for block, part in zip(blocks, psi.reshape(len(blocks), -1)):  # equal-sized blocks

@@ -7,10 +7,10 @@ L-1 and L never flip, so H splits into 16 frozen-boundary blocks.
 
 One routine writes the rule's canonical CSR over a set of configurations:
 `frozen_sector` runs it on one block, and the full operator, assembled
-only when something reads it, runs it on all 2**L configurations.  Both
-are pure structure (all couplings equal 1); `dense_hamiltonian`
-re-assembles the same operator from the literal projector products as an
-independent test oracle.
+only when `to_dense` or the benchmark reads it, runs it on all 2**L
+configurations.  Both are pure structure (all couplings equal 1);
+`dense_hamiltonian` re-assembles the same operator from the literal
+projector products as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import MIN_SITES, SpinConfig, _amplitudes, sector_indices
+from .lattice import MIN_SITES, sector_indices
 
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -30,36 +30,22 @@ _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 DENSE_MAX_SITES = 10
 
 
-def _neighbour_count(bits, site: int):
-    """Alive cells among sites site-2, site-1, site+1, site+2; ``bits[j]`` is site j+1."""
-    return bits[site - 3] + bits[site - 2] + bits[site] + bits[site + 1]
-
-
 def _fires(bits, site: int):
-    """The rule: bulk ``site`` flips when 2 or 3 of its neighbours are alive.
-    ``bits`` is a tuple of 0/1 (gives a bool) or per-site bit arrays (a mask)."""
-    count = _neighbour_count(bits, site)
+    """The rule: bulk ``site`` flips when 2 or 3 of sites site-2, site-1,
+    site+1 and site+2 are alive; ``bits[j]`` is site j+1.  ``bits`` is a
+    tuple of 0/1 (gives a bool) or per-site bit arrays (a mask)."""
+    count = bits[site - 3] + bits[site - 2] + bits[site] + bits[site + 1]
     return (count == 2) | (count == 3)
-
-
-def alive_neighbors(config: SpinConfig, i: int) -> int:
-    """Alive cells among sites i-2, i-1, i+1, i+2 (site i itself excluded).
-
-    ``i`` must lie in the bulk range [3, L-2]; the count is in [0, 4].
-    """
-    L = config.L
-    if not 3 <= i <= L - 2:
-        raise ValueError(f"site {i} outside the bulk range [3, {L - 2}]")
-    return _neighbour_count(config.bits, i)
 
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
     """Symmetric 0/1 coupling structure of the rule Hamiltonian (hbar = 1).
 
-    Only ``L`` is stored.  The full 2**L operator `matrix` is emitted on
-    first access; the integrator never reads it, it works on the blocks of
-    `frozen_sector`.
+    Only ``L`` is stored.  Every routine of the package works on the blocks
+    of `frozen_sector`; the full 2**L operator `matrix` is emitted on first
+    access, and only `to_dense` (L <= 10) and the benchmark's coupling
+    count read it.
     """
 
     L: int
@@ -89,20 +75,6 @@ def build_hamiltonian(L: int) -> SparseHamiltonian:
     if L < MIN_SITES:
         raise ValueError(f"lattice needs at least {MIN_SITES} sites, got {L}")
     return SparseHamiltonian(L=L)
-
-
-def apply_hamiltonian(h: SparseHamiltonian, state) -> np.ndarray:
-    """Matrix-vector product H @ psi; the result is not normalized."""
-    x = _amplitudes(state)
-    if x.shape != (h.dim,):
-        raise ValueError(f"dimension mismatch: state {x.shape}, H dim {h.dim}")
-    return h.matrix @ x
-
-
-def energy_expectation(h: SparseHamiltonian, state) -> float:
-    """<psi|H|psi> (real for any state since H is real symmetric)."""
-    x = _amplitudes(state)
-    return float(np.vdot(x, apply_hamiltonian(h, x)).real)
 
 
 def _site_operator(op: np.ndarray, site: int, L: int) -> np.ndarray:

@@ -91,13 +91,6 @@ def single_site_entropies(state: StateVector) -> np.ndarray:
     return von_neumann_entropy(np.array([reduced_density_matrix(state, [s]) for s in sites]))
 
 
-def two_site_entropy(state: StateVector, i: int, j: int) -> float:
-    """Entropy of the two-site reduced state; symmetric in (i, j)."""
-    if i == j:
-        raise ValueError("two-site entropy needs two distinct sites")
-    return von_neumann_entropy(reduced_density_matrix(state, [i, j]))
-
-
 def mutual_information_matrix(state: StateVector) -> np.ndarray:
     """Pairwise mutual information (S_i + S_j - S_ij) / 2 as an L x L matrix.
 

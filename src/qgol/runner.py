@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -180,6 +181,8 @@ class RunConfig:
                 outside = [v for v in values if not 1 <= v <= self.L - 1]
                 if outside:
                     raise ValueError(f"{label} {outside} outside [1, {self.L - 1}]")
+                if len(set(values)) != len(values):  # each value is one CSV column
+                    raise ValueError(f"repeated {label} in {list(values)}")
             if self.kind in ("classical", "strobe"):
                 if self.steps < 0:
                     raise ValueError(f"steps must be nonnegative, got {self.steps}")
@@ -387,12 +390,15 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     Each sample runs the Schrodinger engine (averaged over the quantum
     window) and the classical automaton (averaged over the classical
     window of step times k*pi/2).  Samples are independent; with
-    ``workers > 1`` they run in parallel with identical numeric results.
+    ``workers > 1`` they run in parallel with identical numeric results, in
+    a pool of at most one process per sample and per CPU (in-process when
+    that is one).
     """
     config.validate()
     jobs = [(config, k) for k in range(config.samples)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, config.samples, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_ensemble_sample, jobs))
     else:
         records = [_ensemble_sample(job) for job in jobs]

@@ -44,7 +44,6 @@ from qgol import (
     sample_random_fock,
     single_site_entropies,
     stroboscopic_quantum,
-    two_site_entropy,
     von_neumann_entropy,
 )
 
@@ -328,7 +327,7 @@ def test_criterion_10_quantum_info_suite():
         assert abs(bond_entropy(ghz, j) - 1.0) < tol
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert abs(two_site_entropy(ghz, i, j) - 1.0) < tol
+            assert abs(von_neumann_entropy(reduced_density_matrix(ghz, [i, j])) - 1.0) < tol
     mi = mutual_information_matrix(ghz)
     assert np.abs(mi - 0.5 * (np.ones((4, 4)) - np.eye(4))).max() < tol
 

@@ -6,6 +6,8 @@ from qgol import (
     IntegrationError,
     SpinConfig,
     StateVector,
+    apply_hamiltonian,
+    build_hamiltonian,
     classical_f12_step,
     classical_trajectory,
     config_from_index,
@@ -133,6 +135,35 @@ def test_rk4_norm_and_energy_conservation(h8):
     energies = np.array(energies)
     assert energies[0] != 0.0
     assert np.abs(energies - energies[0]).max() / abs(energies[0]) < 1e-6
+
+
+def test_rk4_conserves_the_squared_norm_of_h_psi_from_a_fock_start():
+    # <H> is 0 on a Fock state; <H^2> = |H psi|^2 is conserved and counts its firing sites
+    h14 = build_hamiltonian(14)
+    blinker = make_fock_state(SpinConfig.from_string("00001101000000"))
+    squares = []
+    tr = evolve_rk4(
+        h14, blinker, 100.0, dt=0.01, sample_every=200, keep_states=False,
+        observer=lambda t, s: squares.append(np.vdot(hs := apply_hamiltonian(h14, s), hs).real),
+    )
+    squares = np.array(squares)
+    assert squares[0] == 3.0  # sites 4, 6 and 7 fire
+    assert tr.norm_drift < 1e-6
+    assert np.abs(squares - squares[0]).max() / squares[0] <= 1e-6
+
+
+@pytest.mark.parametrize("bits", ["00000101000000", "00110110101100"])
+def test_rk4_is_fourth_order_against_the_exact_oracle(bits):
+    h14 = build_hamiltonian(14)
+    psi = make_fock_state(SpinConfig.from_string(bits))
+    exact = evolve_exact(h14, psi, 10.0).amplitudes
+    errors = [
+        np.linalg.norm(evolve_rk4(h14, psi, 10.0, dt=dt, sample_every=1 << 30)
+                       .states[-1].amplitudes - exact)
+        for dt in (0.02, 0.01, 0.005)
+    ]
+    ratios = np.array(errors[:-1]) / errors[1:]  # halving dt divides the error by 2**4
+    assert np.all((15.5 <= ratios) & (ratios <= 16.5)), ratios
 
 
 def test_rk4_time_reversal(h8):

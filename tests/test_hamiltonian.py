@@ -4,29 +4,15 @@ from hypothesis import given, strategies as st
 
 from qgol import (
     SpinConfig,
-    alive_neighbors,
     apply_hamiltonian,
     build_hamiltonian,
     config_from_index,
     dense_hamiltonian,
+    energy_expectation,
     fock_index,
     frozen_sector,
     make_fock_state,
 )
-
-
-def test_alive_neighbors_examples():
-    assert alive_neighbors(SpinConfig.from_string("01010"), 3) == 2
-    assert alive_neighbors(SpinConfig.from_string("11011"), 3) == 4
-    assert alive_neighbors(SpinConfig.from_string("00000"), 3) == 0
-
-
-def test_alive_neighbors_bulk_range():
-    cfg = SpinConfig.from_string("0101010")
-    with pytest.raises(ValueError):
-        alive_neighbors(cfg, 2)
-    with pytest.raises(ValueError):
-        alive_neighbors(cfg, 6)  # L-2 = 5 is the last bulk site
 
 
 def test_build_rejects_small_lattice():
@@ -83,12 +69,16 @@ def test_every_coupling_satisfies_the_rule(h5):
     coo = h5.matrix.tocoo()
     for r, c in zip(coo.row, coo.col):
         site = int(np.log2(r ^ c)) + 1
-        assert alive_neighbors(config_from_index(int(r), 5), site) in (2, 3)
+        bits = config_from_index(int(r), 5).bits  # bits[j] is site j + 1
+        assert sum(bits[s - 1] for s in (site - 2, site - 1, site + 1, site + 2)) in (2, 3)
 
 
 def test_apply_examples(h5, h11):
     dead = make_fock_state(SpinConfig((0,) * 5))
     assert np.all(apply_hamiltonian(h5, dead) == 0)
+    zero = apply_hamiltonian(h5, np.zeros(32))  # no sector at all
+    assert zero.shape == (32,) and np.all(zero == 0)
+    assert energy_expectation(h5, np.zeros(32)) == 0.0
 
     out = apply_hamiltonian(h5, make_fock_state(SpinConfig.from_string("01010")))
     expected = np.zeros(32, dtype=complex)
@@ -103,13 +93,25 @@ def test_apply_examples(h5, h11):
 
 def test_apply_matches_dense_elementwise(h5, rng):
     dense = h5.to_dense()
-    x = rng.normal(size=32) + 1j * rng.normal(size=32)
+    x = rng.normal(size=32) + 1j * rng.normal(size=32)  # weight in all 16 sectors
     assert np.abs(apply_hamiltonian(h5, x) - dense @ x).max() < 1e-14
+    assert energy_expectation(h5, x) == pytest.approx(np.vdot(x, dense @ x).real, rel=1e-14)
 
 
 def test_apply_dimension_mismatch(h5):
     with pytest.raises(ValueError):
         apply_hamiltonian(h5, np.zeros(16))
+    with pytest.raises(ValueError):
+        energy_expectation(h5, make_fock_state(SpinConfig.from_string("000100")))
+
+
+def test_apply_and_energy_never_build_the_full_operator():
+    h = build_hamiltonian(20)
+    fock = make_fock_state(SpinConfig.from_string("00" + "0110" * 4 + "00"))
+    out = apply_hamiltonian(h, fock)
+    assert out.shape == (1 << 20,) and np.vdot(out, out).real > 0
+    assert energy_expectation(h, fock) == 0.0  # H flips a bit: no diagonal
+    assert "matrix" not in vars(h)
 
 
 def test_frozen_sector_blocks():

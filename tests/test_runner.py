@@ -159,12 +159,19 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
         ["ensemble", "--length", "4", "--density", "0.5", "--samples", "1", "--seed", "1",
          "--tmax", "3", "--window", "0,3"],
         ["strobe", "--length", "4", "--density", "0.5", "--seed", "1", "--steps", "1"],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
+         "concurrence", "--distances", "1,1"],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
+         "bonds", "--bonds", "2,3,2"],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
+         "bonds", "--config", "bonds = 4,4"],
     ],
     ids=["tmax", "sample-every", "initial", "initial-short", "classical-steps", "strobe-steps",
          "ring-tmax", "ring-dt-nan", "dt-inf", "tmax-inf", "tolerance-zero",
          "tolerance-negative", "tolerance-nan", "qmax", "hopping-nan", "hopping-inf",
          "negative-seed", "no-measures", "no-distances", "no-bonds", "no-bonds-config",
-         "evolve-l3", "ensemble-l4", "strobe-l4"],
+         "evolve-l3", "ensemble-l4", "strobe-l4", "repeated-distance", "repeated-bond",
+         "repeated-bond-config"],
 )
 def test_bad_arguments_rejected_before_creating_output(tmp_path, capsys, args):
     if "--config" in args:  # the value after it is the config file's text
@@ -304,6 +311,34 @@ def test_ensemble_deterministic_and_worker_independent(tmp_path):
     read = lambda d: (tmp_path / d / "ensemble.csv").read_bytes()
     assert read("a") == read("b") == read("c")
     assert a["summary"]["means"] == b["summary"]["means"] == c["summary"]["means"]
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(2, 2), (64, 3), (1, None), (None, None)])
+def test_ensemble_pool_is_capped_by_samples_and_cpus(tmp_path, monkeypatch, cpus, pool_size):
+    sizes = []
+
+    class RecordingPool:  # stands in for the process pool: records its size, maps in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    base = dict(kind="ensemble", L=8, rho0=0.5, samples=3, seed=42,
+                t_max=2.0, sample_every=20, window=(1.0, 2.0))
+    serial = run(RunConfig(out_dir=str(tmp_path / "serial"), **base))
+    monkeypatch.setattr(qgol.runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    capped = run(RunConfig(out_dir=str(tmp_path / "capped"), workers=10**6, **base))
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert capped["config"]["workers"] == 10**6  # the manifest keeps the request
+    assert capped["files"] == serial["files"]  # names and SHA-256 of every CSV
 
 
 def test_ensemble_result_fields():
