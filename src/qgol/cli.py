@@ -96,11 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {"kind": args.kind}
-    if args.config:
-        file_values = read_config_file(args.config)
-        file_values.pop("kind", None)  # the subcommand owns the kind
-        values.update(file_values)
+    values = read_config_file(args.config) if args.config else {}
+    if values.setdefault("kind", args.kind) != args.kind:  # the subcommand owns the kind
+        raise ValueError(f"{args.config}: kind = {values['kind']} is not the subcommand")
     for flag, (dest, *_) in _FLAGS.items():
         if getattr(args, dest) is not None:
             values[dest] = _parse_value(flag, dest, getattr(args, dest))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hamiltonian import SparseHamiltonian, _fires, frozen_sector
-from .lattice import SpinConfig, StateVector, _amplitudes, sector_state
+from .lattice import SpinConfig, StateVector, _amplitudes, sector_state, split_index
 
 #: Integration aborts when a sampled state drifts this far from unit norm.
 NORM_ABORT = 1e-4
@@ -127,8 +127,8 @@ def _restrict(h: SparseHamiltonian, state):
         shape, sectors = (state.dim,), [sector[:2]]
     else:
         amplitudes = _amplitudes(state)
-        shape, nz = amplitudes.shape, np.flatnonzero(amplitudes)
-        codes = np.unique((nz & 3) | ((nz >> (h.L - 2)) << 2))  # low | high << 2
+        low, high, _ = split_index(h.L, np.flatnonzero(amplitudes))
+        shape, codes = amplitudes.shape, np.unique(low | (high << 2))
         sectors = [(int(c) & 3, int(c) >> 2) for c in codes]
     if shape != (h.dim,):
         raise ValueError(f"dimension mismatch: state {shape}, H dim {h.dim}")

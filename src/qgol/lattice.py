@@ -4,7 +4,7 @@ Site 1 is the least significant bit of a basis index: the configuration
 with bits b_1 ... b_L maps to index sum_j b_j * 2**(j-1).  This module is
 the single encoding authority; everything else goes through `fock_index`,
 `config_from_index` and, for the frozen-boundary blocks, `sector_indices`
-instead of re-deriving bit order.
+and its inverse `split_index` instead of re-deriving bit order.
 """
 
 from __future__ import annotations
@@ -175,6 +175,11 @@ def sector_indices(L: int, low_bits: int, high_bits: int) -> np.ndarray:
     return low_bits | (interior << 2) | (high_bits << (L - 2))
 
 
+def split_index(L: int, index):
+    """(low_bits, high_bits, block position) of basis index(es); inverse of `sector_indices`."""
+    return index & 3, index >> (L - 2), (index >> 2) & ((1 << (L - 4)) - 1)
+
+
 def sector_state(
     L: int, low_bits: int, high_bits: int, block, norm_tol: float = 1e-9
 ) -> StateVector:
@@ -208,10 +213,10 @@ def config_from_index(index: int, L: int) -> SpinConfig:
 
 def make_fock_state(config: SpinConfig) -> StateVector:
     """Separable basis state |b_1 ... b_L>, held in sector form."""
-    index, L = fock_index(config), config.L
-    block = np.zeros(1 << (L - 4), dtype=complex)
-    block[(index >> 2) & (block.size - 1)] = 1.0
-    return sector_state(L, index & 3, index >> (L - 2), block)
+    low_bits, high_bits, position = split_index(config.L, fock_index(config))
+    block = np.zeros(1 << (config.L - 4), dtype=complex)
+    block[position] = 1.0
+    return sector_state(config.L, low_bits, high_bits, block)
 
 
 def _amplitudes(state) -> np.ndarray:

@@ -16,7 +16,7 @@ import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from math import floor, inf, isfinite
 from pathlib import Path
 from typing import NamedTuple
@@ -88,6 +88,11 @@ def _site_labels(prefix: str, L: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(1, L + 1)]
 
 
+def _bonds(config):
+    """The bonds a run records: its bond list, or every bond when there is none."""
+    return range(1, config.L) if config.bonds is None else config.bonds
+
+
 def _mi_rows(config, snapshot) -> list[list]:
     mi = mutual_information_matrix(snapshot.state)
     return [[i + 1, j + 1, mi[i, j]] for i in range(config.L) for j in range(i + 1, config.L)]
@@ -119,9 +124,8 @@ _MEASURE_TABLE = {
         lambda c, s: [[average_concurrence(s.state, d) for d in c.concurrence_distances]],
     ),
     "bonds": _Measure(
-        lambda c: [f"bond_{j}" for j in (range(1, c.L) if c.bonds is None else c.bonds)],
-        lambda c, s: [[bond_entropy(s.state, j)
-                       for j in (range(1, c.L) if c.bonds is None else c.bonds)]],
+        lambda c: [f"bond_{j}" for j in _bonds(c)],
+        lambda c, s: [[bond_entropy(s.state, j) for j in _bonds(c)]],
     ),
 }
 MEASURES = tuple(_MEASURE_TABLE)
@@ -157,72 +161,64 @@ class RunConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        _, reads = _KINDS[self.kind]
+        for field in fields(self):  # a value the run would ignore is refused, not dropped
+            value = getattr(self, field.name)
+            if field.name not in ("kind", *reads) and value != field.default:
+                raise ValueError(f"{self.kind} runs do not read {field.name}: got {value!r}, "
+                                 f"leave it at its default {field.default!r}")
+        if self.initial is not None and (self.rho0 is not None or self.seed is not None):
+            raise ValueError("a bitstring start reads neither rho0 nor seed")
         if not 0 < self.dt < inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0 <= self.t_max < inf:
             raise ValueError(f"t_max must be finite and nonnegative, got {self.t_max}")
-        if self.rho0 is not None and not 0.0 <= self.rho0 <= 1.0:
-            raise ValueError(f"initial density {self.rho0} outside [0, 1]")
-        if self.kind in ("evolve", "classical", "strobe", "ensemble"):
-            if self.kind in ("evolve", "ensemble") and self.L > MAX_SITES:
-                raise ValueError(f"L = {self.L} exceeds the memory bound (L <= {MAX_SITES})")
-            if self.kind == "ensemble" or (self.initial is None and self.rho0 is not None):
-                if self.rho0 is None:
-                    raise ValueError("ensemble runs need an initial density rho0")
-                if self.seed is None:
-                    raise ValueError("random initial states need a seed")
-                if self.seed < 0:
-                    raise ValueError(f"seed must be nonnegative, got {self.seed}")
-            elif self.initial is None:
-                raise ValueError(f"{self.kind} runs need an initial bitstring")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if "sample_every" in reads and self.L > MAX_SITES:  # the kinds that hold amplitudes
+            raise ValueError(f"L = {self.L} exceeds the memory bound (L <= {MAX_SITES})")
+        if "L" in reads:  # every kind but circulant starts from a configuration
+            if self.initial is None and (self.rho0 is None or self.seed is None):
+                either = "a bitstring, or " if "initial" in reads else ""
+                raise ValueError(f"{self.kind} runs need {either}a density rho0 and a seed")
             _initial_config(self)
-            for label, values in (("bond", self.bonds or ()),
-                                  ("concurrence distance", self.concurrence_distances)):
-                outside = [v for v in values if not 1 <= v <= self.L - 1]
-                if outside:
-                    raise ValueError(f"{label} {outside} outside [1, {self.L - 1}]")
-                if len(set(values)) != len(values):  # each value is one CSV column
-                    raise ValueError(f"repeated {label} in {list(values)}")
-            if self.kind in ("classical", "strobe"):
-                if self.steps < 0:
-                    raise ValueError(f"steps must be nonnegative, got {self.steps}")
-            else:
-                times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
-            if self.kind == "ensemble":
-                if self.samples < 1:
-                    raise ValueError(f"ensemble runs need samples >= 1, got {self.samples}")
-                start, stop = self.window or QUANTUM_WINDOW
-                if not ((times >= start) & (times <= stop)).any():
-                    raise ValueError(
-                        f"no snapshot inside the quantum window ({start}, {stop}): "
-                        f"t_max = {self.t_max}, sample_every = {self.sample_every}"
-                    )
-        if self.kind == "circulant":
-            if self.period < 2:
-                raise ValueError(f"ring needs at least two configurations, got {self.period}")
-            if self.period > MAX_PERIOD:
+        for label, values in (("bond", _bonds(self)),
+                              ("concurrence distance", self.concurrence_distances)):
+            outside = [v for v in values if not 1 <= v <= self.L - 1]
+            if outside:
+                raise ValueError(f"{label} {outside} outside [1, {self.L - 1}]")
+            if len(set(values)) != len(values):  # each value is one CSV column
+                raise ValueError(f"repeated {label} in {list(values)}")
+        if self.sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        if self.samples < 1:
+            raise ValueError(f"ensemble runs need samples >= 1, got {self.samples}")
+        if "window" in reads:
+            start, stop = self.window or QUANTUM_WINDOW
+            times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
+            if not ((times >= start) & (times <= stop)).any():
                 raise ValueError(
-                    f"period = {self.period} exceeds the gap-ratio bound (period <= {MAX_PERIOD})"
+                    f"no snapshot inside the quantum window ({start}, {stop}): "
+                    f"t_max = {self.t_max}, sample_every = {self.sample_every}"
                 )
-            if not 0 <= self.k0 < self.period:
-                raise ValueError(f"configuration index {self.k0} outside [0, {self.period})")
-            if not isfinite(self.hopping):
-                raise ValueError(f"hopping must be finite, got {self.hopping}")
-            if not 0 < self.tolerance < inf:
-                raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-            if self.q_max < 1:
-                raise ValueError(f"q_max must be >= 1, got {self.q_max}")
-        unknown = set(self.measures) - set(MEASURES)
-        if unknown:
-            raise ValueError(f"unknown measures {sorted(unknown)}; choose from {MEASURES}")
-        if self.kind == "evolve" and not self.measures:
-            raise ValueError(f"evolve runs need at least one measure; choose from {MEASURES}")
+        if not 2 <= self.period <= MAX_PERIOD:
+            raise ValueError(f"a ring needs 2 <= period <= {MAX_PERIOD}, got {self.period}")
+        if not 0 <= self.k0 < self.period:
+            raise ValueError(f"configuration index {self.k0} outside [0, {self.period})")
+        if not isfinite(self.hopping):
+            raise ValueError(f"hopping must be finite, got {self.hopping}")
+        if not 0 < self.tolerance < inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if self.q_max < 1:
+            raise ValueError(f"q_max must be >= 1, got {self.q_max}")
+        if not self.measures or not set(self.measures) <= set(MEASURES):
+            raise ValueError(f"measures {list(self.measures)}: choose one or more of {MEASURES}")
         if "concurrence" in self.measures and not self.concurrence_distances:
             raise ValueError("concurrence needs at least one concurrence distance")
         if "bonds" in self.measures and self.bonds is not None and not self.bonds:
             raise ValueError("bonds needs at least one bond; omit the list for every bond")
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise ValueError(f"window {self.window} is empty")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -287,8 +283,8 @@ def _write_csv(path: Path, header, rows) -> str:
     """Write one table; returns the SHA-256 of the bytes written."""
     digest = hashlib.sha256()
     with open(path, "wb") as f:
-        for fields in (header, *rows):
-            line = (",".join(map(_fmt, fields)) + "\n").encode("utf-8")
+        for cells in (header, *rows):
+            line = (",".join(map(_fmt, cells)) + "\n").encode("utf-8")
             f.write(line)
             digest.update(line)
     return digest.hexdigest()
@@ -338,16 +334,6 @@ def _run_evolve(config: RunConfig) -> tuple[dict, dict]:
     return tables, {"snapshots": len(trajectory.times), "norm_drift": trajectory.norm_drift}
 
 
-def _classical_rows(traj):
-    return [
-        [k, k * CLASSICAL_STEP, cfg.to_string(), *_discrete_scalars(cfg.bits)]
-        for k, cfg in enumerate(traj.steps)
-    ]
-
-
-_CLASSICAL_HEADER = ["step", "time", "config", *_DISCRETE]
-
-
 def _run_discrete(config: RunConfig) -> tuple[dict, dict]:
     """The classical rule or its stroboscopic-projective counterpart, one row per step."""
     initial = _initial_config(config)
@@ -355,7 +341,10 @@ def _run_discrete(config: RunConfig) -> tuple[dict, dict]:
         traj = stroboscopic_quantum(build_hamiltonian(config.L), initial, config.steps)
     else:
         traj = classical_trajectory(initial, config.steps)
-    return {config.kind: (_CLASSICAL_HEADER, _classical_rows(traj))}, {"steps": config.steps}
+    rows = [[k, k * CLASSICAL_STEP, cfg.to_string(), *_discrete_scalars(cfg.bits)]
+            for k, cfg in enumerate(traj.steps)]
+    header = ["step", "time", "config", *_DISCRETE]
+    return {config.kind: (header, rows)}, {"steps": config.steps}
 
 
 def _ensemble_sample(args) -> dict:
@@ -466,34 +455,41 @@ def _run_circulant(config: RunConfig) -> tuple[dict, dict]:
     return tables, summary
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "classical": _run_discrete,
-    "strobe": _run_discrete,
-    "ensemble": _run_ensemble,
-    "circulant": _run_circulant,
+#: Every experiment kind: (its runner, the `RunConfig` fields the runner reads
+#: besides `kind`).  `validate` refuses any other field set off its default,
+#: and the manifest records only these.
+_KINDS = {
+    "evolve": (_run_evolve, ("L", "initial", "rho0", "seed", "t_max", "dt", "sample_every",
+                             "measures", "concurrence_distances", "bonds", "out_dir")),
+    "classical": (_run_discrete, ("L", "initial", "rho0", "seed", "steps", "out_dir")),
+    "strobe": (_run_discrete, ("L", "initial", "rho0", "seed", "steps", "out_dir")),
+    "ensemble": (_run_ensemble, ("L", "rho0", "seed", "t_max", "dt", "sample_every",
+                                 "samples", "window", "workers", "out_dir")),
+    "circulant": (_run_circulant, ("period", "hopping", "k0", "q_max", "tolerance",
+                                   "t_max", "dt", "out_dir")),
 }
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(_KINDS)
 
 
 def run(config: RunConfig) -> dict:
     """Execute a configured experiment; returns the manifest record.
 
     Writes each table of the run as ``<name>.csv`` plus ``manifest.json``
-    (full configuration, code version, wall time, and the SHA-256 of each
-    file's bytes) into the output directory.
+    (the kind and the fields it reads, code version, wall time, and the
+    SHA-256 of each file's bytes) into the output directory.
     """
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    tables, summary = _RUNNERS[config.kind](config)
+    runner, reads = _KINDS[config.kind]
+    tables, summary = runner(config)
     files = [
         {"name": f"{name}.csv", "sha256": _write_csv(out / f"{name}.csv", header, rows)}
         for name, (header, rows) in tables.items()
     ]
     manifest = {
-        "config": asdict(config),
+        "config": {"kind": config.kind, **{name: getattr(config, name) for name in reads}},
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - started,
         "summary": summary,

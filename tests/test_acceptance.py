@@ -2,9 +2,11 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  The suite is deterministic (fixed seeds everywhere) and sized for
-a laptop-class single core; the ensemble criterion dominates the runtime
-at a few minutes.
+a laptop; the ensemble criterion dominates the runtime, and runs its
+samples on every CPU.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -282,6 +284,7 @@ def test_criterion_09_equilibrium_curves():
             RunConfig(
                 kind="ensemble", L=L, rho0=rho0, samples=16, seed=20260810,
                 t_max=30.0, dt=0.01, sample_every=25, window=(25.0, 30.0),
+                workers=os.cpu_count() or 1,  # the output does not depend on it
             )
         )
         quantum.append(result.means["density_equi_quantum"])

@@ -11,6 +11,7 @@ from qgol import (
     norm,
     overlap,
 )
+from qgol.lattice import sector_indices, split_index
 
 
 def test_fock_index_examples():
@@ -32,6 +33,18 @@ def test_fock_index_roundtrip_exhaustive_L5():
 def test_fock_index_bijection(bits):
     cfg = SpinConfig(tuple(bits))
     assert config_from_index(fock_index(cfg), cfg.L) == cfg
+
+
+@pytest.mark.parametrize("L", [5, 8])
+def test_split_index_inverts_sector_indices(L):
+    index = np.arange(1 << L)
+    low, high, position = split_index(L, index)
+    for low_bits in range(4):
+        for high_bits in range(4):
+            block = (low == low_bits) & (high == high_bits)
+            assert block.sum() == 1 << (L - 4)
+            assert (sector_indices(L, low_bits, high_bits)[position[block]] == index[block]).all()
+    assert split_index(L, (1 << L) - 1) == (3, 3, (1 << (L - 4)) - 1)  # a Python int too
 
 
 def test_make_fock_state_examples():

@@ -71,6 +71,8 @@ def test_run_config_validation():
         RunConfig(kind="evolve", L=8, initial="0" * 8, dt=-0.1).validate()
     with pytest.raises(ValueError):
         RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bogus",)).validate()
+    with pytest.raises(ValueError, match="neither rho0 nor seed"):
+        RunConfig(kind="classical", L=8, initial="0" * 8, seed=1).validate()
 
 
 def test_ensemble_window_after_tmax_rejected_before_evolving():
@@ -165,13 +167,20 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
          "bonds", "--bonds", "2,3,2"],
         ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
          "bonds", "--config", "bonds = 4,4"],
+        ["ensemble", "--length", "8", "--density", "0.5", "--samples", "1", "--seed", "1",
+         "--tmax", "3", "--window", "0,3", "--initial", "11111111"],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--density", "0.5"],
+        ["classical", "--length", "8", "--initial", "00010000", "--steps", "1", "--seed", "1"],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5",
+         "--config", "kind = ensemble"],
     ],
     ids=["tmax", "sample-every", "initial", "initial-short", "classical-steps", "strobe-steps",
          "ring-tmax", "ring-dt-nan", "dt-inf", "tmax-inf", "tolerance-zero",
          "tolerance-negative", "tolerance-nan", "qmax", "hopping-nan", "hopping-inf",
          "negative-seed", "no-measures", "no-distances", "no-bonds", "no-bonds-config",
          "evolve-l3", "ensemble-l4", "strobe-l4", "repeated-distance", "repeated-bond",
-         "repeated-bond-config"],
+         "repeated-bond-config", "ensemble-initial", "initial-and-density", "initial-and-seed",
+         "config-kind"],
 )
 def test_bad_arguments_rejected_before_creating_output(tmp_path, capsys, args):
     if "--config" in args:  # the value after it is the config file's text
@@ -375,15 +384,84 @@ _ONE_RUN_PER_KIND = {
 }
 
 
+#: The fields each kind reads, besides its kind: all a manifest's `config` records.
+_READS = {
+    "evolve": {"L", "initial", "rho0", "seed", "t_max", "dt", "sample_every", "measures",
+               "concurrence_distances", "bonds", "out_dir"},
+    "classical": {"L", "initial", "rho0", "seed", "steps", "out_dir"},
+    "strobe": {"L", "initial", "rho0", "seed", "steps", "out_dir"},
+    "ensemble": {"L", "rho0", "seed", "t_max", "dt", "sample_every", "samples", "window",
+                 "workers", "out_dir"},
+    "circulant": {"period", "hopping", "k0", "q_max", "tolerance", "t_max", "dt", "out_dir"},
+}
+
+#: For each kind, a field it does not read, its flag, and a value other than its default.
+_UNREAD = {
+    "evolve": ("workers", "--workers", 2),
+    "classical": ("t_max", "--tmax", 99.0),
+    "strobe": ("measures", "--measures", ("mi",)),
+    "ensemble": ("steps", "--steps", 7),
+    "circulant": ("L", "--length", 30),
+}
+
+
+def _raw(value) -> str:
+    """A value as a flag or a config-file line writes it."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _config_text(options: dict) -> str:
+    return "".join(f"{key} = {_raw(value)}\n" for key, value in options.items())
+
+
 @pytest.mark.parametrize("kind", list(_ONE_RUN_PER_KIND))
 def test_manifest_hashes(tmp_path, kind):
     options, names = _ONE_RUN_PER_KIND[kind]
     manifest = run(RunConfig(kind=kind, out_dir=str(tmp_path), **options))
+    assert set(manifest["config"]) == {"kind", *_READS[kind]}
     assert [entry["name"] for entry in manifest["files"]] == names
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
     for entry in manifest["files"]:
         digest = hashlib.sha256((tmp_path / entry["name"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+@pytest.mark.parametrize("channel", ["flag", "config-file", "RunConfig"])
+@pytest.mark.parametrize("kind", list(_ONE_RUN_PER_KIND))
+def test_unread_field_off_its_default_refused_before_writing(tmp_path, capsys, kind, channel):
+    options, _ = _ONE_RUN_PER_KIND[kind]
+    field, flag, value = _UNREAD[kind]
+    out = tmp_path / "run"
+    if channel == "RunConfig":
+        with pytest.raises(ValueError, match=f"do not read {field}:"):
+            run(RunConfig(kind=kind, out_dir=str(out), **options, **{field: value}))
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_config_text({**options, field: value} if channel == "config-file"
+                                    else options))
+        extra = [flag, _raw(value)] if channel == "flag" else []
+        assert main([kind, "--config", str(cfg), *extra, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError" and f"do not read {field}:" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(_ONE_RUN_PER_KIND))
+def test_unread_field_at_its_default_changes_nothing(tmp_path, capsys, kind):
+    # e.g. `evolve --workers 1`, which the benchmark's evolve workloads pass
+    options, names = _ONE_RUN_PER_KIND[kind]
+    field, flag, _ = _UNREAD[kind]
+    default = {f.name: f.default for f in fields(RunConfig)}[field]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text(options))
+    configs = []
+    for out, extra in ((tmp_path / "plain", []), (tmp_path / "default", [flag, _raw(default)])):
+        assert main([kind, "--config", str(cfg), *extra, "--out", str(out)]) == 0
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+        del configs[-1]["out_dir"]
+    assert configs[0] == configs[1] and field not in configs[0]
+    read = lambda d: {name: (tmp_path / d / name).read_bytes() for name in names}
+    assert read("plain") == read("default")
 
 
 def test_circulant_run(tmp_path):
@@ -469,12 +547,7 @@ def test_config_file_sets_every_field(tmp_path):
     )
     assert set(expected) == {f.name for f in fields(RunConfig)}
     cfg = tmp_path / "every.cfg"
-    cfg.write_text(
-        "".join(
-            f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
-            for key, value in expected.items()
-        )
-    )
+    cfg.write_text(_config_text(expected))
     parsed = read_config_file(cfg)
     assert parsed == expected
     assert all(type(parsed[k]) is type(v) for k, v in expected.items())
