@@ -20,15 +20,15 @@ print(f"L={L}, {SAMPLES} random Fock states per initial density\n")
 print("rho(0)   quantum rho_equi   classical rho_equi")
 for k in range(1, 8):
     rho0 = k / 8
-    result = run_ensemble(
+    _, summary = run_ensemble(
         RunConfig(
             kind="ensemble", L=L, rho0=rho0, samples=SAMPLES, seed=2026,
             t_max=30.0, dt=0.01, sample_every=50, window=(25.0, 30.0),
         )
     )
-    q = result.means["density_equi_quantum"]
-    qe = result.standard_errors["density_equi_quantum"]
-    c = result.means["density_equi_classical"]
+    q = summary["means"]["density_equi_quantum"]
+    qe = summary["standard_errors"]["density_equi_quantum"]
+    c = summary["means"]["density_equi_classical"]
     print(f" {rho0:.3f}   {q:.3f} +- {qe:.3f}      {c:.3f}")
 
 print("\nthe quantum curve flattens and turns over at large initial density")

@@ -73,7 +73,6 @@ from .quantum_info import (
     von_neumann_entropy,
 )
 from .runner import (
-    EnsembleResult,
     RunConfig,
     equilibrium_average,
     run,

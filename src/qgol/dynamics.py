@@ -41,7 +41,6 @@ class Trajectory:
     """Sampled quantum evolution: times, optional states, observer records."""
 
     times: np.ndarray
-    dt: float
     states: list[StateVector] | None
     records: list | None
     norm_drift: float
@@ -56,9 +55,6 @@ class ClassicalTrajectory:
     @property
     def times(self) -> np.ndarray:
         return CLASSICAL_STEP * np.arange(len(self.steps))
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def _flip_sites(config: SpinConfig) -> list[int]:
@@ -249,7 +245,6 @@ def evolve_rk4(
 
     return Trajectory(
         times=times,
-        dt=dt,
         states=states,
         records=records,
         norm_drift=drift,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -18,6 +19,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from math import floor, inf, isfinite
+from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,6 +57,12 @@ MAX_PERIOD = 64  # largest ring `circulant` checks: about period**4 / 64 gap rat
 
 QUANTUM_WINDOW = (25.0, 30.0)
 CLASSICAL_WINDOW = (83.0, 100.0)
+
+#: The `RunConfig` fields a list may be given for; each is held as a tuple.
+_TUPLES = ("measures", "window", "concurrence_distances", "bonds")
+#: The `RunConfig` fields that hold an integer, or a tuple of integers.
+_INTEGERS = ("L", "sample_every", "steps", "samples", "seed", "workers", "period", "k0",
+             "q_max", "concurrence_distances", "bonds")
 
 #: Scalars of a discretized profile, in the order `_discrete_scalars` returns them.
 _DISCRETE = ("density", "diversity", "improved_diversity")
@@ -146,7 +154,7 @@ class RunConfig:
     samples: int = 16
     seed: int | None = None
     measures: tuple[str, ...] = ("populations",)
-    window: tuple[float, float] | None = None
+    window: tuple[float, float] = QUANTUM_WINDOW
     concurrence_distances: tuple[int, ...] = (1,)
     bonds: tuple[int, ...] | None = None
     out_dir: str = "runs"
@@ -158,6 +166,11 @@ class RunConfig:
     q_max: int = 10**6
     tolerance: float = 1e-9
 
+    def __post_init__(self):  # a list means what the equal tuple means
+        for name in _TUPLES:
+            if getattr(self, name) is not None:
+                setattr(self, name, tuple(getattr(self, name)))
+
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
@@ -167,6 +180,10 @@ class RunConfig:
             if field.name not in ("kind", *reads) and value != field.default:
                 raise ValueError(f"{self.kind} runs do not read {field.name}: got {value!r}, "
                                  f"leave it at its default {field.default!r}")
+            if field.name in _INTEGERS and (value is not None or field.default is not None):
+                items = value if field.name in _TUPLES else (value,)
+                if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in items):
+                    raise ValueError(f"{field.name} must hold integers, got {value!r}")
         if self.initial is not None and (self.rho0 is not None or self.seed is not None):
             raise ValueError("a bitstring start reads neither rho0 nor seed")
         if not 0 < self.dt < inf:
@@ -196,7 +213,7 @@ class RunConfig:
         if self.samples < 1:
             raise ValueError(f"ensemble runs need samples >= 1, got {self.samples}")
         if "window" in reads:
-            start, stop = self.window or QUANTUM_WINDOW
+            start, stop = self.window
             times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
             if not ((times >= start) & (times <= stop)).any():
                 raise ValueError(
@@ -215,23 +232,14 @@ class RunConfig:
             raise ValueError(f"q_max must be >= 1, got {self.q_max}")
         if not self.measures or not set(self.measures) <= set(MEASURES):
             raise ValueError(f"measures {list(self.measures)}: choose one or more of {MEASURES}")
+        if len(set(self.measures)) != len(self.measures):  # each measure is one CSV file
+            raise ValueError(f"repeated measure in {list(self.measures)}")
         if "concurrence" in self.measures and not self.concurrence_distances:
             raise ValueError("concurrence needs at least one concurrence distance")
         if "bonds" in self.measures and self.bonds is not None and not self.bonds:
             raise ValueError("bonds needs at least one bond; omit the list for every bond")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-@dataclass
-class EnsembleResult:
-    """Per-sample equilibrium scalars with their means and standard errors."""
-
-    samples: list[dict]
-    means: dict[str, float]
-    standard_errors: dict[str, float]
-    quantum_window: tuple[float, float]
-    classical_window: tuple[float, float]
 
 
 def sample_random_fock(L: int, rho0: float, rng: np.random.Generator) -> SpinConfig:
@@ -283,7 +291,7 @@ def _write_csv(path: Path, header, rows) -> str:
     """Write one table; returns the SHA-256 of the bytes written."""
     digest = hashlib.sha256()
     with open(path, "wb") as f:
-        for cells in (header, *rows):
+        for cells in itertools.chain([header], rows):
             line = (",".join(map(_fmt, cells)) + "\n").encode("utf-8")
             f.write(line)
             digest.update(line)
@@ -347,11 +355,14 @@ def _run_discrete(config: RunConfig) -> tuple[dict, dict]:
     return {config.kind: (header, rows)}, {"steps": config.steps}
 
 
-def _ensemble_sample(args) -> dict:
-    """One ensemble member: quantum and classical equilibrium scalars."""
+_SCALARS = [f"{name}_equi_{kind}" for kind in ("quantum", "classical") for name in _DISCRETE]
+
+
+def _ensemble_sample(args) -> list:
+    """One ensemble member's `ensemble.csv` row: its index and configuration,
+    its quantum and classical equilibrium scalars (`_SCALARS`), its norm drift."""
     config, index = args
-    rng = sample_rng(config.seed, index)
-    initial = sample_random_fock(config.L, config.rho0, rng)
+    initial = sample_random_fock(config.L, config.rho0, sample_rng(config.seed, index))
 
     def observe(t, state):
         return _discrete_scalars(discretize(local_population(state)))
@@ -359,21 +370,14 @@ def _ensemble_sample(args) -> dict:
     trajectory = _evolve(config, initial, observe)
     ctraj = classical_trajectory(initial, int(floor(CLASSICAL_WINDOW[1] / CLASSICAL_STEP)))
     classical = [_discrete_scalars(cfg.bits) for cfg in ctraj.steps]
-    record = {"sample": index, "config": initial.to_string()}
-    for kind, times, values, window in (
-        ("quantum", trajectory.times, trajectory.records, config.window or QUANTUM_WINDOW),
-        ("classical", ctraj.times, classical, CLASSICAL_WINDOW),
-    ):
-        for name, series in zip(_DISCRETE, zip(*values)):
-            record[f"{name}_equi_{kind}"] = equilibrium_average(times, series, window)
-    record["norm_drift"] = trajectory.norm_drift
-    return record
+    row = [index, initial.to_string()]
+    for times, values, window in ((trajectory.times, trajectory.records, config.window),
+                                  (ctraj.times, classical, CLASSICAL_WINDOW)):
+        row += (equilibrium_average(times, series, window) for series in zip(*values))
+    return [*row, trajectory.norm_drift]
 
 
-_SCALARS = [f"{name}_equi_{kind}" for kind in ("quantum", "classical") for name in _DISCRETE]
-
-
-def run_ensemble(config: RunConfig) -> EnsembleResult:
+def run_ensemble(config: RunConfig) -> tuple[dict, dict]:
     """Evolve `samples` random Fock states and average their equilibria.
 
     Each sample runs the Schrodinger engine (averaged over the quantum
@@ -381,50 +385,36 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     window of step times k*pi/2).  Samples are independent; with
     ``workers > 1`` they run in parallel with identical numeric results, in
     a pool of at most one process per sample and per CPU (in-process when
-    that is one).
+    that is one).  Returns the ``ensemble`` and ``ensemble_summary`` tables
+    and a summary of the means and standard errors by scalar name.
     """
-    config.validate()
+    config.validate()  # public: called directly, not only through `run`
     jobs = [(config, k) for k in range(config.samples)]
     workers = min(config.workers, config.samples, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_ensemble_sample, jobs))
+            rows = list(pool.map(_ensemble_sample, jobs))
     else:
-        records = [_ensemble_sample(job) for job in jobs]
+        rows = [_ensemble_sample(job) for job in jobs]
     means, errors = {}, {}
-    for key in _SCALARS:
-        values = np.array([r[key] for r in records])
+    for key, column in zip(_SCALARS, zip(*(row[2:-1] for row in rows))):
+        values = np.array(column)
         means[key] = float(values.mean())
         errors[key] = (
             float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
         )
-    return EnsembleResult(
-        samples=records,
-        means=means,
-        standard_errors=errors,
-        quantum_window=config.window or QUANTUM_WINDOW,
-        classical_window=CLASSICAL_WINDOW,
-    )
-
-
-def _run_ensemble(config: RunConfig) -> tuple[dict, dict]:
-    result = run_ensemble(config)
     tables = {
-        "ensemble": (
-            ["sample", "config", *_SCALARS, "norm_drift"],
-            [[r["sample"], r["config"], *(r[k] for k in _SCALARS), r["norm_drift"]]
-             for r in result.samples],
-        ),
+        "ensemble": (["sample", "config", *_SCALARS, "norm_drift"], rows),
         "ensemble_summary": (
             ["quantity", "mean", "standard_error"],
-            [[k, result.means[k], result.standard_errors[k]] for k in _SCALARS],
+            [[k, means[k], errors[k]] for k in _SCALARS],
         ),
     }
     summary = {
-        "means": result.means,
-        "standard_errors": result.standard_errors,
-        "quantum_window": list(result.quantum_window),
-        "classical_window": list(result.classical_window),
+        "means": means,
+        "standard_errors": errors,
+        "quantum_window": list(config.window),
+        "classical_window": list(CLASSICAL_WINDOW),
     }
     return tables, summary
 
@@ -444,7 +434,7 @@ def _run_circulant(config: RunConfig) -> tuple[dict, dict]:
         "gap_ratios": (["a", "b", "gap_a", "gap_b", "ratio", "rational", "p", "q"], ratio_rows),
         "ring_evolution": (
             ["time", *(f"p_{k}" for k in range(model.n))],
-            [[t, *ring_evolution(model, config.k0, t)] for t in times],
+            ([t, *ring_evolution(model, config.k0, t)] for t in times),  # written, never held
         ),
     }
     summary = {
@@ -463,8 +453,8 @@ _KINDS = {
                              "measures", "concurrence_distances", "bonds", "out_dir")),
     "classical": (_run_discrete, ("L", "initial", "rho0", "seed", "steps", "out_dir")),
     "strobe": (_run_discrete, ("L", "initial", "rho0", "seed", "steps", "out_dir")),
-    "ensemble": (_run_ensemble, ("L", "rho0", "seed", "t_max", "dt", "sample_every",
-                                 "samples", "window", "workers", "out_dir")),
+    "ensemble": (run_ensemble, ("L", "rho0", "seed", "t_max", "dt", "sample_every",
+                                "samples", "window", "workers", "out_dir")),
     "circulant": (_run_circulant, ("period", "hopping", "k0", "q_max", "tolerance",
                                    "t_max", "dt", "out_dir")),
 }

@@ -280,14 +280,14 @@ def test_criterion_09_equilibrium_curves():
 
     quantum = []
     for rho0 in densities:
-        result = run_ensemble(
+        _, summary = run_ensemble(
             RunConfig(
                 kind="ensemble", L=L, rho0=rho0, samples=16, seed=20260810,
                 t_max=30.0, dt=0.01, sample_every=25, window=(25.0, 30.0),
                 workers=os.cpu_count() or 1,  # the output does not depend on it
             )
         )
-        quantum.append(result.means["density_equi_quantum"])
+        quantum.append(summary["means"]["density_equi_quantum"])
 
     rng = np.random.default_rng(7)
     classical = []

@@ -47,7 +47,7 @@ def test_blinker_steps():
 
 def test_classical_trajectory_examples():
     traj = classical_trajectory(SpinConfig((0,) * 9), 10)
-    assert len(traj) == 11
+    assert len(traj.steps) == 11
     assert all(c == traj.steps[0] for c in traj.steps)
 
     traj = classical_trajectory(SpinConfig.from_string(BLINKER_11), 5)

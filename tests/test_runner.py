@@ -167,6 +167,8 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
          "bonds", "--bonds", "2,3,2"],
         ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
          "bonds", "--config", "bonds = 4,4"],
+        ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--measures",
+         "populations,populations"],
         ["ensemble", "--length", "8", "--density", "0.5", "--samples", "1", "--seed", "1",
          "--tmax", "3", "--window", "0,3", "--initial", "11111111"],
         ["evolve", "--length", "8", "--initial", "00010000", "--tmax", "0.5", "--density", "0.5"],
@@ -179,8 +181,8 @@ def test_bad_ring_rejected_before_writing(tmp_path, capsys, period, k0):
          "tolerance-negative", "tolerance-nan", "qmax", "hopping-nan", "hopping-inf",
          "negative-seed", "no-measures", "no-distances", "no-bonds", "no-bonds-config",
          "evolve-l3", "ensemble-l4", "strobe-l4", "repeated-distance", "repeated-bond",
-         "repeated-bond-config", "ensemble-initial", "initial-and-density", "initial-and-seed",
-         "config-kind"],
+         "repeated-bond-config", "repeated-measure", "ensemble-initial", "initial-and-density",
+         "initial-and-seed", "config-kind"],
 )
 def test_bad_arguments_rejected_before_creating_output(tmp_path, capsys, args):
     if "--config" in args:  # the value after it is the config file's text
@@ -355,13 +357,14 @@ def test_ensemble_result_fields():
         kind="ensemble", L=8, rho0=0.25, samples=3, seed=7,
         t_max=1.0, sample_every=10, window=(0.5, 1.0),
     )
-    result = run_ensemble(config)
-    assert len(result.samples) == 3
-    for record in result.samples:
-        assert sum(int(b) for b in record["config"]) == 2  # round(0.25 * 8)
-    assert set(result.means) == set(result.standard_errors)
-    assert result.quantum_window == (0.5, 1.0)
-    assert result.classical_window == (83.0, 100.0)
+    tables, summary = run_ensemble(config)
+    header, rows = tables["ensemble"]
+    assert len(rows) == 3
+    for row in rows:
+        assert sum(int(b) for b in row[header.index("config")]) == 2  # round(0.25 * 8)
+    assert set(summary["means"]) == set(summary["standard_errors"])
+    assert summary["quantum_window"] == [0.5, 1.0]
+    assert summary["classical_window"] == [83.0, 100.0]
 
 
 #: A small run of each kind, with the CSVs it writes in the order it writes them.
@@ -462,6 +465,51 @@ def test_unread_field_at_its_default_changes_nothing(tmp_path, capsys, kind):
     assert configs[0] == configs[1] and field not in configs[0]
     read = lambda d: {name: (tmp_path / d / name).read_bytes() for name in names}
     assert read("plain") == read("default")
+
+
+def test_list_values_mean_the_equal_tuples(tmp_path):
+    # a list in a field whose default is a tuple is that default, not a change
+    RunConfig(kind="classical", L=11, initial="00001010000", measures=["populations"]).validate()
+    RunConfig(kind="evolve", L=8, initial="00010000", window=[25.0, 30.0]).validate()
+    base = dict(kind="evolve", L=8, initial="00010000", t_max=0.5, sample_every=25)
+    manifests = [
+        run(RunConfig(measures=form(["concurrence", "bonds"]), concurrence_distances=form([1, 2]),
+                      bonds=form([3, 2]), out_dir=str(tmp_path / form.__name__), **base))
+        for form in (list, tuple)
+    ]
+    for manifest in manifests:
+        del manifest["config"]["out_dir"]
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert manifests[0]["files"] == manifests[1]["files"]  # names and SHA-256 of every CSV
+
+
+@pytest.mark.parametrize(
+    "kind, extra, field, bad, good",
+    [
+        ("evolve", {"measures": ("bonds",)}, "bonds", (1.5,), (np.int64(2),)),
+        ("evolve", {"measures": ("bonds",)}, "bonds", (True,), (np.int32(1),)),
+        ("evolve", {"measures": ("concurrence",)}, "concurrence_distances", (1.5,),
+         (np.int64(2),)),
+        ("evolve", {}, "sample_every", 2.5, np.int64(25)),
+        ("evolve", {}, "L", 8.0, np.int64(8)),
+        ("classical", {}, "steps", 2.5, np.int64(3)),
+        ("ensemble", {}, "samples", 2.5, np.int64(2)),
+        ("ensemble", {}, "seed", 3.0, np.int64(3)),
+        ("ensemble", {}, "workers", 1.0, np.int64(1)),
+        ("circulant", {}, "period", 4.5, np.int64(5)),
+        ("circulant", {}, "k0", 1.5, np.int64(1)),
+        ("circulant", {}, "q_max", 1e6, np.int64(10**6)),
+    ],
+    ids=["bonds", "bonds-bool", "distances", "sample-every", "L", "steps", "samples", "seed",
+         "workers", "period", "k0", "qmax"],
+)
+def test_non_integer_refused_before_creating_output(tmp_path, kind, extra, field, bad, good):
+    options = {**_ONE_RUN_PER_KIND[kind][0], **extra}
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
+        run(RunConfig(kind=kind, out_dir=str(out), **{**options, field: bad}))
+    assert not out.exists()
+    run(RunConfig(kind=kind, out_dir=str(out), **{**options, field: good}))  # numpy integers pass
 
 
 def test_circulant_run(tmp_path):
@@ -669,6 +717,8 @@ _L22 = ["--length", "22", "--initial", "00" + "101100101100110100" + "00"]
         ),
         # the stroboscopic step holds 22 single-site spinors, never a 2**22 vector
         pytest.param(["strobe", *_L22, "--steps", "5"], 150, id="strobe"),
+        # the 100 001 rows of `ring_evolution.csv` are written as they are computed
+        pytest.param(["circulant", "--period", "5", "--tmax", "1000"], 70, id="circulant"),
     ],
 )
 def test_evolve_l22_peak_memory(tmp_path, command, bound_mib):
