@@ -12,58 +12,53 @@ import argparse
 import json
 import sys
 
-from .runner import KINDS, MEASURES, RunConfig, run
+from .runner import FIELD_TYPES, KINDS, MEASURES, TUPLE_FIELDS, RunConfig, run
 
 _FLAGS = {
-    "--length": ("L", int, "lattice size L"),
-    "--initial": ("initial", str, "initial bitstring, site 1 leftmost"),
-    "--density": ("rho0", float, "initial alive density for random Fock states"),
-    "--tmax": ("t_max", float, "integration time"),
-    "--dt": ("dt", float, "integrator step (default 0.01)"),
-    "--sample-every": ("sample_every", int, "steps between snapshots"),
-    "--steps": ("steps", int, "discrete steps for classical/strobe runs"),
-    "--samples": ("samples", int, "ensemble size"),
-    "--seed": ("seed", int, "master random seed"),
-    "--measures": ("measures", str, "comma list: " + ",".join(MEASURES) + " or 'all'"),
-    "--window": ("window", str, "averaging window 't_a,t_b'"),
-    "--distances": ("concurrence_distances", str, "comma list of concurrence distances"),
-    "--bonds": ("bonds", str, "comma list of bonds for bond entropy"),
-    "--out": ("out_dir", str, "output directory"),
-    "--workers": ("workers", int, "parallel workers for ensembles"),
-    "--period": ("period", int, "ring size n for circulant runs"),
-    "--hopping": ("hopping", float, "ring hopping energy J"),
-    "--k0": ("k0", int, "initial ring configuration index"),
-    "--qmax": ("q_max", int, "largest denominator considered rational"),
-    "--tolerance": ("tolerance", float, "continued-fraction termination tolerance"),
+    "--length": ("L", "lattice size L"),
+    "--initial": ("initial", "initial bitstring, site 1 leftmost"),
+    "--density": ("rho0", "initial alive density for random Fock states"),
+    "--tmax": ("t_max", "integration time"),
+    "--dt": ("dt", "integrator step (default 0.01)"),
+    "--sample-every": ("sample_every", "steps between snapshots"),
+    "--steps": ("steps", "discrete steps for classical/strobe runs"),
+    "--samples": ("samples", "ensemble size"),
+    "--seed": ("seed", "master random seed"),
+    "--measures": ("measures", "comma list: " + ",".join(MEASURES) + " or 'all'"),
+    "--window": ("window", "averaging window 't_a,t_b'"),
+    "--distances": ("concurrence_distances", "comma list of concurrence distances"),
+    "--bonds": ("bonds", "comma list of bonds for bond entropy"),
+    "--out": ("out_dir", "output directory"),
+    "--workers": ("workers", "parallel workers for ensembles"),
+    "--period": ("period", "ring size n for circulant runs"),
+    "--hopping": ("hopping", "ring hopping energy J"),
+    "--k0": ("k0", "initial ring configuration index"),
+    "--qmax": ("q_max", "largest denominator considered rational"),
+    "--tolerance": ("tolerance", "continued-fraction termination tolerance"),
 }
-
-#: Type of every config key and flag; the structured ones are parsed in `_parse_value`.
-_KEY_TYPES = {"kind": str, **{dest: type_ for dest, type_, _ in _FLAGS.values()}}
 
 
 def _parse_value(origin: str, key: str, raw: str):
     """Convert one raw value, from a flag or a config-file line; an error names ``origin``."""
     try:
-        if key == "measures":
-            names = tuple(v.strip() for v in raw.split(",") if v.strip())
-            return tuple(MEASURES) if names == ("all",) else names
-        if key == "window":
-            parts = [float(v) for v in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError(f"window needs two comma-separated times, got {raw!r}")
-            return (parts[0], parts[1])
-        if key in ("concurrence_distances", "bonds"):
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if key not in _KEY_TYPES:
+        if key not in FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        return _KEY_TYPES[key](raw)
+        type_ = FIELD_TYPES[key]
+        if key not in TUPLE_FIELDS:
+            return type_(raw)
+        items = tuple(type_(v.strip()) for v in raw.split(",") if v.strip())
+        if key == "measures" and items == ("all",):
+            return MEASURES
+        if key == "window" and len(items) != 2:
+            raise ValueError(f"window needs two comma-separated times, got {raw!r}")
+        return items
     except ValueError as exc:
         raise ValueError(f"{origin}: {exc}") from exc
 
 
 def read_config_file(path: str) -> dict:
     """Parse a `key = value` text file; '#' starts a comment."""
-    values = {}
+    values, lines = {}, {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -72,6 +67,8 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
+            if lines.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: {key} repeats {path}:{lines[key]}")
             values[key] = _parse_value(f"{path}:{lineno}", key, raw)
     return values
 
@@ -90,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", help="key-value config file; flags override it")
-        for flag, (dest, _, help_) in _FLAGS.items():
+        for flag, (dest, help_) in _FLAGS.items():
             p.add_argument(flag, dest=dest, help=help_)  # a raw string until `_parse_value`
     return parser
 
@@ -99,7 +96,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     values = read_config_file(args.config) if args.config else {}
     if values.setdefault("kind", args.kind) != args.kind:  # the subcommand owns the kind
         raise ValueError(f"{args.config}: kind = {values['kind']} is not the subcommand")
-    for flag, (dest, *_) in _FLAGS.items():
+    for flag, (dest, _) in _FLAGS.items():
         if getattr(args, dest) is not None:
             values[dest] = _parse_value(flag, dest, getattr(args, dest))
     return RunConfig(**values)
@@ -113,7 +110,7 @@ def main(argv=None) -> int:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1
-    print(json.dumps(manifest, indent=2, default=str))
+    print(json.dumps(manifest, indent=2))
     return 0
 
 

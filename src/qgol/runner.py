@@ -19,7 +19,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from math import floor, inf, isfinite
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,11 +58,17 @@ MAX_PERIOD = 64  # largest ring `circulant` checks: about period**4 / 64 gap rat
 QUANTUM_WINDOW = (25.0, 30.0)
 CLASSICAL_WINDOW = (83.0, 100.0)
 
-#: The `RunConfig` fields a list may be given for; each is held as a tuple.
-_TUPLES = ("measures", "window", "concurrence_distances", "bonds")
-#: The `RunConfig` fields that hold an integer, or a tuple of integers.
-_INTEGERS = ("L", "sample_every", "steps", "samples", "seed", "workers", "period", "k0",
-             "q_max", "concurrence_distances", "bonds")
+#: The type of every `RunConfig` value, or of each item of a `TUPLE_FIELDS` value.
+FIELD_TYPES = {
+    **dict.fromkeys(("kind", "initial", "measures", "out_dir"), str),
+    **dict.fromkeys(("L", "sample_every", "steps", "samples", "seed", "concurrence_distances",
+                     "bonds", "workers", "period", "k0", "q_max"), int),
+    **dict.fromkeys(("rho0", "t_max", "dt", "window", "hopping", "tolerance"), float),
+}
+#: The `RunConfig` fields that hold a tuple; a list given for one is held as a tuple.
+TUPLE_FIELDS = ("measures", "window", "concurrence_distances", "bonds")
+#: What an item must be to take each `FIELD_TYPES` type (never a bool), and its name.
+_ACCEPTS = {int: (Integral, "integers"), float: (Real, "real numbers"), str: (str, "strings")}
 
 #: Scalars of a discretized profile, in the order `_discrete_scalars` returns them.
 _DISCRETE = ("density", "diversity", "improved_diversity")
@@ -139,9 +145,9 @@ _MEASURE_TABLE = {
 MEASURES = tuple(_MEASURE_TABLE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; see `validate` for the invariants."""
+    """Everything a run needs, checked when it is built; `dataclasses.replace` checks a variant."""
 
     kind: str
     L: int = 11
@@ -166,24 +172,23 @@ class RunConfig:
     q_max: int = 10**6
     tolerance: float = 1e-9
 
-    def __post_init__(self):  # a list means what the equal tuple means
-        for name in _TUPLES:
-            if getattr(self, name) is not None:
-                setattr(self, name, tuple(getattr(self, name)))
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         _, reads = _KINDS[self.kind]
-        for field in fields(self):  # a value the run would ignore is refused, not dropped
+        for field in fields(self):  # each value in its one form; one a run ignores is refused
             value = getattr(self, field.name)
+            if value is not None or field.default is not None:
+                type_, listed = FIELD_TYPES[field.name], field.name in TUPLE_FIELDS
+                items = tuple(value) if listed else (value,)
+                accepts, noun = _ACCEPTS[type_]
+                if not all(isinstance(v, accepts) and not isinstance(v, bool) for v in items):
+                    raise ValueError(f"{field.name} must hold {noun}, got {value!r}")
+                value = tuple(map(type_, items)) if listed else type_(value)
+                object.__setattr__(self, field.name, value)
             if field.name not in ("kind", *reads) and value != field.default:
                 raise ValueError(f"{self.kind} runs do not read {field.name}: got {value!r}, "
                                  f"leave it at its default {field.default!r}")
-            if field.name in _INTEGERS and (value is not None or field.default is not None):
-                items = value if field.name in _TUPLES else (value,)
-                if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in items):
-                    raise ValueError(f"{field.name} must hold integers, got {value!r}")
         if self.initial is not None and (self.rho0 is not None or self.seed is not None):
             raise ValueError("a bitstring start reads neither rho0 nor seed")
         if not 0 < self.dt < inf:
@@ -213,13 +218,12 @@ class RunConfig:
         if self.samples < 1:
             raise ValueError(f"ensemble runs need samples >= 1, got {self.samples}")
         if "window" in reads:
-            start, stop = self.window
+            if len(self.window) != 2 or not all(map(isfinite, self.window)):
+                raise ValueError(f"window must be two finite times, got {self.window}")
             times = snapshot_grid(self.t_max, self.dt, self.sample_every)[3]
-            if not ((times >= start) & (times <= stop)).any():
-                raise ValueError(
-                    f"no snapshot inside the quantum window ({start}, {stop}): "
-                    f"t_max = {self.t_max}, sample_every = {self.sample_every}"
-                )
+            if not ((times >= self.window[0]) & (times <= self.window[1])).any():
+                raise ValueError(f"no snapshot inside the quantum window {self.window}: "
+                                 f"t_max = {self.t_max}, sample_every = {self.sample_every}")
         if not 2 <= self.period <= MAX_PERIOD:
             raise ValueError(f"a ring needs 2 <= period <= {MAX_PERIOD}, got {self.period}")
         if not 0 <= self.k0 < self.period:
@@ -312,7 +316,7 @@ def _evolve(config: RunConfig, initial: SpinConfig, observe):
 
 
 def _initial_config(config: RunConfig) -> SpinConfig:
-    """The run's initial configuration; `validate` calls it to check the state."""
+    """The run's initial configuration; a `RunConfig` builds it to check the state."""
     if config.initial is None:
         return sample_random_fock(config.L, config.rho0, sample_rng(config.seed, 0))
     bits = config.initial.strip()
@@ -388,7 +392,6 @@ def run_ensemble(config: RunConfig) -> tuple[dict, dict]:
     that is one).  Returns the ``ensemble`` and ``ensemble_summary`` tables
     and a summary of the means and standard errors by scalar name.
     """
-    config.validate()  # public: called directly, not only through `run`
     jobs = [(config, k) for k in range(config.samples)]
     workers = min(config.workers, config.samples, os.cpu_count() or 1)
     if workers > 1:
@@ -446,7 +449,7 @@ def _run_circulant(config: RunConfig) -> tuple[dict, dict]:
 
 
 #: Every experiment kind: (its runner, the `RunConfig` fields the runner reads
-#: besides `kind`).  `validate` refuses any other field set off its default,
+#: besides `kind`).  A `RunConfig` refuses any other field set off its default,
 #: and the manifest records only these.
 _KINDS = {
     "evolve": (_run_evolve, ("L", "initial", "rho0", "seed", "t_max", "dt", "sample_every",
@@ -468,7 +471,6 @@ def run(config: RunConfig) -> dict:
     (the kind and the fields it reads, code version, wall time, and the
     SHA-256 of each file's bytes) into the output directory.
     """
-    config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -486,6 +488,6 @@ def run(config: RunConfig) -> dict:
         "files": files,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, default=str)
+        json.dump(manifest, f, indent=2)
         f.write("\n")
     return manifest

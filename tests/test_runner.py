@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,47 +60,43 @@ def test_equilibrium_average():
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(kind="zap").validate()
+        RunConfig(kind="zap")
     with pytest.raises(ValueError):
-        RunConfig(kind="evolve", L=25, initial="0" * 25).validate()
+        RunConfig(kind="evolve", L=25, initial="0" * 25)
     with pytest.raises(ValueError):
-        RunConfig(kind="evolve", L=11, initial="111").validate()
+        RunConfig(kind="evolve", L=11, initial="111")
     with pytest.raises(ValueError):
-        RunConfig(kind="ensemble", L=8, rho0=0.5).validate()  # missing seed
+        RunConfig(kind="ensemble", L=8, rho0=0.5)  # missing seed
     with pytest.raises(ValueError):
-        RunConfig(kind="evolve", L=8, initial="0" * 8, dt=-0.1).validate()
+        RunConfig(kind="evolve", L=8, initial="0" * 8, dt=-0.1)
     with pytest.raises(ValueError):
-        RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bogus",)).validate()
+        RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bogus",))
     with pytest.raises(ValueError, match="neither rho0 nor seed"):
-        RunConfig(kind="classical", L=8, initial="0" * 8, seed=1).validate()
+        RunConfig(kind="classical", L=8, initial="0" * 8, seed=1)
 
 
 def test_ensemble_window_after_tmax_rejected_before_evolving():
-    config = RunConfig(kind="ensemble", L=8, rho0=0.5, samples=2, seed=1, t_max=10.0)
+    base = dict(kind="ensemble", L=8, rho0=0.5, samples=2, seed=1)
     with pytest.raises(ValueError, match="window"):
-        config.validate()
-    config.window = (12.0, 15.0)
+        RunConfig(**base, t_max=10.0)
     with pytest.raises(ValueError, match="window"):
-        config.validate()
-    config.t_max = 12.0
-    config.validate()
+        RunConfig(**base, t_max=10.0, window=(12.0, 15.0))
+    RunConfig(**base, t_max=12.0, window=(12.0, 15.0))
 
 
 def test_ensemble_window_without_snapshot_rejected_before_evolving(monkeypatch, tmp_path):
     # snapshots fall at t = 0, 1.25, 2.5 and 3: none inside (1.5, 2.0)
-    config = RunConfig(
-        kind="ensemble", L=8, rho0=0.5, samples=2, seed=1, t_max=3.0,
-        sample_every=125, window=(1.5, 2.0), out_dir=str(tmp_path),
-    )
+    options = dict(kind="ensemble", L=8, rho0=0.5, samples=2, seed=1, t_max=3.0,
+                   sample_every=125, out_dir=str(tmp_path / "run"))
 
     def never(*args, **kwargs):
         raise AssertionError("evolved before rejecting the window")
 
     monkeypatch.setattr("qgol.runner.evolve_rk4", never)
     with pytest.raises(ValueError, match="no snapshot inside the quantum window"):
-        run(config)
-    config.window = (1.0, 2.0)
-    config.validate()
+        run(RunConfig(**options, window=(1.5, 2.0)))
+    assert not (tmp_path / "run").exists()
+    RunConfig(**options, window=(1.0, 2.0))
 
 
 @pytest.mark.parametrize("samples", [0, -2])
@@ -245,24 +241,22 @@ def test_period_above_bound_rejected_before_any_work(monkeypatch, tmp_path, caps
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ValueError" and f"period <= {bound}" in record["message"]
     assert not out.exists()
-    RunConfig(kind="circulant", period=bound).validate()
+    RunConfig(kind="circulant", period=bound)
 
 
 @pytest.mark.parametrize("bonds", [(9,), (0,), (1, 8)])
 def test_bond_outside_lattice_rejected_before_evolving(bonds):
-    config = RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bonds",), bonds=bonds)
     with pytest.raises(ValueError, match="bond"):
-        config.validate()
+        RunConfig(kind="evolve", L=8, initial="0" * 8, measures=("bonds",), bonds=bonds)
 
 
 @pytest.mark.parametrize("distances", [(0,), (8,), (1, -1), ()])
 def test_concurrence_distance_outside_lattice_rejected_before_evolving(distances):
-    config = RunConfig(
-        kind="evolve", L=8, initial="0" * 8, measures=("concurrence",),
-        concurrence_distances=distances,
-    )
     with pytest.raises(ValueError, match="concurrence distance"):
-        config.validate()
+        RunConfig(
+            kind="evolve", L=8, initial="0" * 8, measures=("concurrence",),
+            concurrence_distances=distances,
+        )
 
 
 def test_evolve_run_shapes(tmp_path):
@@ -469,8 +463,8 @@ def test_unread_field_at_its_default_changes_nothing(tmp_path, capsys, kind):
 
 def test_list_values_mean_the_equal_tuples(tmp_path):
     # a list in a field whose default is a tuple is that default, not a change
-    RunConfig(kind="classical", L=11, initial="00001010000", measures=["populations"]).validate()
-    RunConfig(kind="evolve", L=8, initial="00010000", window=[25.0, 30.0]).validate()
+    RunConfig(kind="classical", L=11, initial="00001010000", measures=["populations"])
+    RunConfig(kind="evolve", L=8, initial="00010000", window=[25.0, 30.0])
     base = dict(kind="evolve", L=8, initial="00010000", t_max=0.5, sample_every=25)
     manifests = [
         run(RunConfig(measures=form(["concurrence", "bonds"]), concurrence_distances=form([1, 2]),
@@ -510,6 +504,59 @@ def test_non_integer_refused_before_creating_output(tmp_path, kind, extra, field
         run(RunConfig(kind=kind, out_dir=str(out), **{**options, field: bad}))
     assert not out.exists()
     run(RunConfig(kind=kind, out_dir=str(out), **{**options, field: good}))  # numpy integers pass
+
+
+@pytest.mark.parametrize(
+    "kind, field, bad, noun",
+    [
+        ("evolve", "t_max", True, "real numbers"),
+        ("ensemble", "rho0", "0.5", "real numbers"),
+        ("circulant", "hopping", 1j, "real numbers"),
+        ("evolve", "initial", 10001000, "strings"),
+        ("evolve", "out_dir", Path("run"), "strings"),
+        ("evolve", "measures", ("populations", 1), "strings"),
+    ],
+    ids=["bool", "text", "complex", "initial", "path", "measure"],
+)
+def test_value_of_another_type_refused_by_name(tmp_path, kind, field, bad, noun):
+    options = {**_ONE_RUN_PER_KIND[kind][0], "out_dir": str(tmp_path / "run")}
+    bad = tmp_path / bad if isinstance(bad, Path) else bad
+    with pytest.raises(ValueError, match=f"^{field} must hold {noun}"):
+        run(RunConfig(kind=kind, **{**options, field: bad}))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(25.0, 28.0, 30.0), (25.0,), ("a", "b"), (0.0, float("inf")), (float("nan"), 30.0)],
+    ids=["three", "one", "text", "inf", "nan"],
+)
+def test_window_not_two_finite_times_refused_by_name(tmp_path, window):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="^window must"):
+        run(RunConfig(kind="ensemble", L=8, rho0=0.5, samples=1, seed=1, t_max=3.0,
+                      window=window, out_dir=str(out)))
+    assert not out.exists()
+
+
+def test_numpy_values_are_written_as_json_numbers(tmp_path):
+    run(RunConfig(kind="classical", L=np.int64(11), initial="00001010000", steps=np.int64(2),
+                  out_dir=str(tmp_path / "classical")))
+    run(RunConfig(kind="evolve", L=8, initial="00010000", t_max=np.float32(0.5),
+                  out_dir=str(tmp_path / "evolve")))
+    read = lambda d: json.loads((tmp_path / d / "manifest.json").read_text())["config"]
+    assert (read("classical")["L"], read("classical")["steps"]) == (11, 2)
+    assert read("evolve")["t_max"] == 0.5
+
+
+def test_config_is_frozen_and_a_replaced_variant_is_checked():
+    config = RunConfig(kind="classical", L=11, initial="00001010000")
+    with pytest.raises(FrozenInstanceError):
+        config.L = 8
+    variant = replace(config, measures=["populations"])
+    assert variant.measures == ("populations",) and variant == config
+    with pytest.raises(ValueError, match="do not read t_max:"):
+        replace(config, t_max=99.0)
 
 
 def test_circulant_run(tmp_path):
@@ -601,6 +648,18 @@ def test_config_file_sets_every_field(tmp_path):
     assert all(type(parsed[k]) is type(v) for k, v in expected.items())
 
 
+def test_config_file_repeated_key_names_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 8\ninitial = 00010000\n# the last line repeats L\nL = 11\n")
+    name = re.escape(str(cfg))
+    with pytest.raises(ValueError, match=f"^{name}:4: L repeats {name}:1$"):
+        read_config_file(cfg)
+    out = tmp_path / "run"
+    assert main(["classical", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["L = abc", "window = 1", "bonds = 1,x", "colour = red"])
 def test_config_file_bad_value_names_its_line(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
@@ -636,9 +695,12 @@ def test_config_parser_parses_or_names_the_bad_line(lines):
             assert 1 <= lineno <= len(seen)
             path.write_text("".join(seen[: lineno - 1]), encoding="utf-8")
             read_config_file(path)  # every line before the named one parses
-            path.write_text(seen[lineno - 1], encoding="utf-8")
+            # and the named line alone does not, or with the earlier line whose key it repeats
+            repeats = re.search(f" repeats {re.escape(str(path))}:([0-9]+)$", str(exc))
+            earlier = [seen[int(repeats.group(1)) - 1]] if repeats else []
+            path.write_text("".join([*earlier, seen[lineno - 1]]), encoding="utf-8")
             with pytest.raises(ValueError):
-                read_config_file(path)  # and the named line alone does not
+                read_config_file(path)
 
 
 def test_cli_measures_all(tmp_path, capsys):
