@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import pi
+from math import inf, pi
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,12 +91,12 @@ def snapshot_grid(t_max: float, dt: float, sample_every: int):
     numbers ``steps`` (0, every ``sample_every`` steps, and the last step),
     at ``times``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    if not 0 < dt < inf:  # NaN fails too
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not 0 <= t_max < inf:
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
+    if not isinstance(sample_every, Integral) or sample_every < 1:
+        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
     n_full = int(np.floor(t_max / dt + 1e-12))
     remainder = t_max - n_full * dt
     if remainder < 1e-12 * max(1.0, t_max):
@@ -120,7 +121,7 @@ def _restrict(h: SparseHamiltonian, state):
     """
     sector = getattr(state, "sector", None)
     if sector is not None:
-        shape, sectors = (state.dim,), [sector[:2]]
+        shape, sectors = (state.dim,), [sector]
     else:
         amplitudes = _amplitudes(state)
         low, high, _ = split_index(h.L, np.flatnonzero(amplitudes))
@@ -130,7 +131,7 @@ def _restrict(h: SparseHamiltonian, state):
         raise ValueError(f"dimension mismatch: state {shape}, H dim {h.dim}")
     blocks = [frozen_sector(h, low, high) for low, high in sectors]
     indices = np.concatenate([np.empty(0, dtype=np.int64), *(idx for idx, _ in blocks)])
-    psi = sector.block if sector is not None else amplitudes[indices]
+    psi = state.block if sector is not None else amplitudes[indices]
     return sectors, [block for _, block in blocks], indices, psi
 
 
@@ -154,8 +155,8 @@ def energy_expectation(h: SparseHamiltonian, state) -> float:
 
 
 def _state(h: SparseHamiltonian, sectors: list, indices: np.ndarray, vec, norm_tol: float):
-    """The state with amplitudes ``vec`` on ``sectors``: in sector form when
-    there is one, else as a full vector."""
+    """The state with amplitudes ``vec`` on ``sectors``: a sector state when
+    there is one, else a full vector."""
     if len(sectors) == 1:
         return sector_state(h.L, *sectors[0], vec, norm_tol=norm_tol)
     full = np.zeros(h.dim, dtype=complex)
@@ -183,8 +184,8 @@ def evolve_rk4(
     The integration runs only on the frozen-boundary sectors the initial
     state has weight in, which is exact: H is block diagonal over them, so
     the remaining amplitudes are zero and stay zero.  A Fock state lies in
-    one 2**(L-4) dimensional block, and its snapshots are held in sector
-    form (no 2**L vector is made); a superposition across boundary
+    one 2**(L-4) dimensional block, and its snapshots are sector states
+    (no 2**L vector is made); a superposition across boundary
     patterns evolves under the direct sum of its blocks, and its snapshots
     are full vectors.
 

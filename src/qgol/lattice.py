@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,32 +66,6 @@ class SpinConfig:
         return self.to_string()
 
 
-class Sector(NamedTuple):
-    """A state confined to one frozen-boundary sector.
-
-    ``low_bits`` carries sites (1, 2) and ``high_bits`` sites (L-1, L);
-    ``block`` holds the 2**(L-4) amplitudes of the interior sites 3..L-2,
-    site 3 the least significant bit of a block index (`sector_indices`).
-    """
-
-    low_bits: int
-    high_bits: int
-    block: np.ndarray
-
-
-class Factors(NamedTuple):
-    """A state as |frozen bits> (x) |amplitudes>.
-
-    ``frozen`` maps each site held in a basis state to its bit; ``amplitudes``
-    spans the remaining sites offset+1 .. offset+n, site offset+1 the least
-    significant bit.  A full vector has no frozen sites and offset 0.
-    """
-
-    frozen: dict
-    offset: int
-    amplitudes: np.ndarray
-
-
 def _checked_amplitudes(values, norm_tol: float) -> np.ndarray:
     """Read-only complex copy of ``values``: power-of-two length, unit norm."""
     amps = np.array(values, dtype=complex)
@@ -105,16 +79,22 @@ def _checked_amplitudes(values, norm_tol: float) -> np.ndarray:
 
 
 class StateVector:
-    """A normalized vector of 2**L complex amplitudes over the sigma_z basis.
+    """A normalized state of L spins over the sigma_z basis, held as its
+    frozen sites' bits times one block of amplitudes.
 
-    The amplitude at index ``fock_index(c)`` belongs to configuration ``c``.
-    Values are immutable after construction: the amplitude array is copied
-    and marked read-only.
+    `frozen` maps each site held in a basis state to its bit (read-only);
+    `block` holds the amplitudes of the remaining sites offset+1 ..
+    offset+n, site offset+1 the least significant bit of a block index.
+    A full vector, made here, has no frozen sites, `offset` 0, and its
+    2**L amplitudes as `block`.  A state confined to one frozen-boundary
+    sector, made by `sector_state` (e.g. every Fock state), freezes sites
+    1, 2, L-1 and L and has `offset` 2 and the 2**(L-4) interior
+    amplitudes as `block`.  Values are immutable after construction: the
+    amplitudes are copied and marked read-only.
 
-    A state confined to one frozen-boundary sector (made by `sector_state`,
-    e.g. every Fock state) is held as its `sector` alone; `amplitudes` then
-    builds the full vector on first access and keeps it.  For a full
-    vector `sector` is None.
+    `amplitudes` is the full 2**L vector, the amplitude at index
+    ``fock_index(c)`` belonging to configuration ``c``: `block` itself for a
+    full vector, built on first access and kept for a sector state.
 
     Parameters
     ----------
@@ -125,33 +105,33 @@ class StateVector:
         relax this for snapshots whose drift is measured separately).
     """
 
-    sector: Sector | None = None
-
     def __init__(self, amplitudes, norm_tol: float = 1e-9):
-        self.amplitudes = _checked_amplitudes(amplitudes, norm_tol)
-        self.L = self.amplitudes.size.bit_length() - 1
+        self.block = self.amplitudes = _checked_amplitudes(amplitudes, norm_tol)
+        self.L, self.offset, self._frozen = self.block.size.bit_length() - 1, 0, {}
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
-        """The full 2**L vector (read-only), built from `sector` on first access."""
-        low_bits, high_bits, block = self.sector
+        """The full 2**L vector (read-only), built from `block` on first access."""
         amps = np.zeros(self.dim, dtype=complex)
-        amps[sector_indices(self.L, low_bits, high_bits)] = block
+        amps[sector_indices(self.L, *self.sector)] = self.block
         amps.flags.writeable = False
         return amps
 
     @property
+    def frozen(self) -> MappingProxyType:
+        """Read-only map from each frozen site to its bit; empty for a full vector."""
+        return MappingProxyType(self._frozen)
+
+    @property
+    def sector(self) -> tuple[int, int] | None:
+        """(low_bits, high_bits): the bits of sites (1, 2) and (L-1, L), the
+        lower site the low bit; None for a full vector."""
+        f, L = self._frozen, self.L
+        return (f[1] | f[2] << 1, f[L - 1] | f[L] << 1) if f else None
+
+    @property
     def dim(self) -> int:
         return 1 << self.L
-
-    def factors(self) -> Factors:
-        """The state as frozen basis sites times the amplitudes of the rest."""
-        if self.sector is None:
-            return Factors({}, 0, self.amplitudes)
-        low_bits, high_bits, block = self.sector
-        L = self.L
-        frozen = {1: low_bits & 1, 2: low_bits >> 1, L - 1: high_bits & 1, L: high_bits >> 1}
-        return Factors(frozen, 2, block)
 
     def __repr__(self) -> str:
         return f"StateVector(L={self.L})"
@@ -184,15 +164,15 @@ def sector_state(
     L: int, low_bits: int, high_bits: int, block, norm_tol: float = 1e-9
 ) -> StateVector:
     """The state with boundary bits (``low_bits``, ``high_bits``) and interior
-    amplitudes ``block`` (2**(L-4) entries in `sector_indices` order), held
-    in sector form."""
+    amplitudes ``block`` (2**(L-4) entries in `sector_indices` order),
+    with sites 1, 2, L-1 and L frozen."""
     _check_sector(L, low_bits, high_bits)
     block = _checked_amplitudes(block, norm_tol)
     if block.size != 1 << (L - 4):
         raise ValueError(f"block has {block.size} amplitudes, L = {L} needs {1 << (L - 4)}")
     state = StateVector.__new__(StateVector)
-    state.L = L
-    state.sector = Sector(low_bits, high_bits, block)
+    state.L, state.offset, state.block = L, 2, block
+    state._frozen = {1: low_bits & 1, 2: low_bits >> 1, L - 1: high_bits & 1, L: high_bits >> 1}
     return state
 
 
@@ -212,7 +192,7 @@ def config_from_index(index: int, L: int) -> SpinConfig:
 
 
 def make_fock_state(config: SpinConfig) -> StateVector:
-    """Separable basis state |b_1 ... b_L>, held in sector form."""
+    """Separable basis state |b_1 ... b_L>, its boundary sites frozen (`sector_state`)."""
     low_bits, high_bits, position = split_index(config.L, fock_index(config))
     block = np.zeros(1 << (config.L - 4), dtype=complex)
     block[position] = 1.0

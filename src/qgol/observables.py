@@ -20,11 +20,11 @@ def local_population(state: StateVector) -> np.ndarray:
     """Expected occupation per site, n_i = sum of |amplitude|^2 with bit i set.
 
     Normalized by the total probability, so integrator norm drift cannot
-    leak into the profile.  Frozen sites of a sector-form state read their
-    bit; only the remaining amplitudes are summed.
+    leak into the profile.  Frozen sites read their bit; only the block's
+    amplitudes are summed.
     """
-    frozen, offset, amps = state.factors()
-    p = np.abs(amps) ** 2
+    frozen, offset = state.frozen, state.offset
+    p = np.abs(state.block) ** 2
     p /= p.sum()
     return np.array(
         [

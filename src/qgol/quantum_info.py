@@ -24,8 +24,8 @@ def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
     The first listed site becomes the least significant bit of the reduced
     index.  Returns a dense 2**k x 2**k complex matrix, normalized by
     <psi|psi> so that integrator norm drift never leaks into the trace.
-    Frozen sites of a sector-form state enter as the pure projectors onto
-    their bits; only the remaining amplitudes are traced over.
+    Frozen sites enter as the pure projectors onto their bits; only the
+    block's amplitudes are traced over.
     """
     sites = list(sites)
     k = len(sites)
@@ -35,11 +35,11 @@ def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
         raise ValueError(f"duplicate sites in {sites}")
     if any(not 1 <= s <= state.L for s in sites):
         raise ValueError(f"sites {sites} outside [1, {state.L}]")
-    frozen, offset, amps = state.factors()
+    frozen, block = state.frozen, state.block
     free = [s for s in sites if s not in frozen]
-    n = amps.size.bit_length() - 1
-    tensor = amps.reshape((2,) * n)  # axis a <-> site offset + n - a
-    keep_axes = [offset + n - s for s in free]
+    n = block.size.bit_length() - 1
+    tensor = block.reshape((2,) * n)  # axis a <-> site offset + n - a
+    keep_axes = [state.offset + n - s for s in free]
     trace_axes = [a for a in range(n) if a not in set(keep_axes)]
     # reversed: the last listed site must be the most significant reduced bit
     ordered = tensor.transpose(list(reversed(keep_axes)) + trace_axes)
@@ -146,15 +146,15 @@ def bond_entropy(state: StateVector, j: int) -> float:
     Both halves share one nonzero spectrum, so this is the von Neumann
     entropy of the smaller half's reduced density matrix (at most
     2**(L//2) square): the Gram matrix of the reshaped amplitudes.  Frozen
-    sites are in product with the rest and add nothing, so a sector-form
-    state cuts its block between the free sites left and right of the bond.
+    sites are in product with the rest and add nothing, so the block is cut
+    between the free sites left and right of the bond.
     """
     if not 1 <= j <= state.L - 1:
         raise ValueError(f"bond {j} outside [1, {state.L - 1}]")
-    _, offset, amps = state.factors()
-    n = amps.size.bit_length() - 1
-    left = min(max(j - offset, 0), n)  # free sites on the left of the bond
-    m = amps.reshape(-1, 1 << left)  # rows: the free sites right of the bond, columns: left
+    block = state.block
+    n = block.size.bit_length() - 1
+    left = min(max(j - state.offset, 0), n)  # free sites on the left of the bond
+    m = block.reshape(-1, 1 << left)  # rows: the free sites right of the bond, columns: left
     rho = m.T @ m.conj() if 2 * left <= n else m @ m.conj().T
     return von_neumann_entropy(rho / np.trace(rho).real)
 

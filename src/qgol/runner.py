@@ -180,8 +180,11 @@ class RunConfig:
             value = getattr(self, field.name)
             if value is not None or field.default is not None:
                 type_, listed = FIELD_TYPES[field.name], field.name in TUPLE_FIELDS
-                items = tuple(value) if listed else (value,)
                 accepts, noun = _ACCEPTS[type_]
+                if listed and (isinstance(value, str) or not np.iterable(value)):
+                    raise ValueError(f"{field.name} must hold {noun} in a list or tuple, "
+                                     f"got {value!r}")
+                items = tuple(value) if listed else (value,)
                 if not all(isinstance(v, accepts) and not isinstance(v, bool) for v in items):
                     raise ValueError(f"{field.name} must hold {noun}, got {value!r}")
                 value = tuple(map(type_, items)) if listed else type_(value)

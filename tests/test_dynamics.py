@@ -20,6 +20,7 @@ from qgol import (
     overlap,
     stroboscopic_quantum,
 )
+from qgol.dynamics import snapshot_grid
 
 BLINKER_11 = "00001010000"
 
@@ -203,7 +204,7 @@ def test_fock_evolution_stays_in_sector_form():
     )
     assert "matrix" not in vars(h)
     for state in [psi, *tr.states]:
-        assert state.sector[:2] == (0b11, 0b10)
+        assert state.sector == (0b11, 0b10)
         assert "amplitudes" not in vars(state)
 
 
@@ -242,6 +243,15 @@ def test_rk4_validation(h5):
         evolve_rk4(h5, psi, -1.0)
     with pytest.raises(ValueError):
         evolve_rk4(h5, make_fock_state(SpinConfig((0,) * 6)), 1.0)
+    # a non-finite time or step, or a fractional or zero snapshot stride, is
+    # refused before any step, not turned into NaN times or missing records
+    inf, nan = float("inf"), float("nan")
+    for t_max, dt, every in [(1.0, inf, 1), (inf, 0.01, 1), (nan, 0.01, 1), (1.0, nan, 1),
+                             (1.0, 0.1, 2.5), (1.0, 0.1, 0)]:
+        with pytest.raises(ValueError, match="^(dt|t_max|sample_every) must be"):
+            snapshot_grid(t_max, dt, every)
+        with pytest.raises(ValueError, match="^(dt|t_max|sample_every) must be"):
+            evolve_rk4(h5, psi, t_max, dt=dt, sample_every=every, observer=lambda t, s: t)
 
 
 def test_evolve_exact_examples(h5):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from qgol import (
     bond_entropy,
     bond_entropy_profile,
     concurrence,
+    config_from_index,
+    fock_index,
     local_population,
     make_fock_state,
     mutual_information_matrix,
@@ -22,6 +25,7 @@ from qgol import (
     single_site_entropies,
     von_neumann_entropy,
 )
+from qgol.lattice import split_index
 from conftest import random_state
 
 
@@ -295,13 +299,26 @@ def fock_idx(bits):
 
 
 def test_sector_form_measures_match_the_full_vector(rng):
-    # every measure on a sector-form state equals the same function on its
+    # every measure on a sector state equals the same function on its
     # materialised full vector, frozen boundary sites included
     for L in range(5, 11):
         for low, high in [(a, b) for a in range(4) for b in range(4)]:
             state = sector_state(L, low, high, random_state(rng, L - 4))
             full = StateVector(state.amplitudes)
-            assert state.sector is not None and full.sector is None
+            # the frozen bits are the boundary bits of every basis index the state holds
+            for index in np.flatnonzero(state.amplitudes):
+                config = config_from_index(int(index), L)
+                b_low, b_high, _ = split_index(L, fock_index(config))
+                assert dict(state.frozen) == {1: b_low & 1, 2: b_low >> 1,
+                                              L - 1: b_high & 1, L: b_high >> 1}
+                assert dict(state.frozen) == {s: config.bit(s) for s in (1, 2, L - 1, L)}
+            assert state.offset == 2 and state.sector == (low, high)
+            assert pickle.loads(pickle.dumps(state)).sector == (low, high)
+            assert sector_state(L, *state.sector, state.block).sector == (low, high)
+            assert dict(full.frozen) == {} and full.offset == 0 and full.sector is None
+            assert full.block is full.amplitudes
+            with pytest.raises(TypeError):
+                state.frozen[1] = 1 - state.frozen[1]
             assert np.abs(local_population(state) - local_population(full)).max() < 1e-12
             for i in range(1, L + 1):
                 pairs = [[i]] + [[i, j] for j in range(1, L + 1) if j != i]

@@ -515,8 +515,13 @@ def test_non_integer_refused_before_creating_output(tmp_path, kind, extra, field
         ("evolve", "initial", 10001000, "strings"),
         ("evolve", "out_dir", Path("run"), "strings"),
         ("evolve", "measures", ("populations", 1), "strings"),
+        ("evolve", "bonds", 3, "integers in a list or tuple"),
+        ("evolve", "concurrence_distances", 2, "integers in a list or tuple"),
+        ("ensemble", "window", 5.0, "real numbers in a list or tuple"),
+        ("evolve", "measures", "populations", "strings in a list or tuple"),
     ],
-    ids=["bool", "text", "complex", "initial", "path", "measure"],
+    ids=["bool", "text", "complex", "initial", "path", "measure", "scalar-bonds",
+         "scalar-distances", "scalar-window", "bare-string-measures"],
 )
 def test_value_of_another_type_refused_by_name(tmp_path, kind, field, bad, noun):
     options = {**_ONE_RUN_PER_KIND[kind][0], "out_dir": str(tmp_path / "run")}
