@@ -11,7 +11,9 @@ A reduced version of the full study: L = 12 and 8 samples per point keep
 this under a minute; bump SAMPLES/L for smoother curves.
 """
 
-from qgol import RunConfig, run_ensemble
+import tempfile
+
+from qgol import RunConfig, run
 
 L = 12
 SAMPLES = 8
@@ -20,12 +22,13 @@ print(f"L={L}, {SAMPLES} random Fock states per initial density\n")
 print("rho(0)   quantum rho_equi   classical rho_equi")
 for k in range(1, 8):
     rho0 = k / 8
-    _, summary = run_ensemble(
-        RunConfig(
-            kind="ensemble", L=L, rho0=rho0, samples=SAMPLES, seed=2026,
-            t_max=30.0, dt=0.01, sample_every=50, window=(25.0, 30.0),
-        )
-    )
+    with tempfile.TemporaryDirectory() as out:  # the per-sample tables are not needed here
+        summary = run(
+            RunConfig(
+                kind="ensemble", L=L, rho0=rho0, samples=SAMPLES, seed=2026,
+                t_max=30.0, dt=0.01, sample_every=50, window=(25.0, 30.0), out_dir=out,
+            )
+        )["summary"]
     q = summary["means"]["density_equi_quantum"]
     qe = summary["standard_errors"]["density_equi_quantum"]
     c = summary["means"]["density_equi_classical"]

@@ -76,7 +76,6 @@ from .runner import (
     RunConfig,
     equilibrium_average,
     run,
-    run_ensemble,
     sample_random_fock,
 )
 

@@ -90,7 +90,8 @@ class StateVector:
     sector, made by `sector_state` (e.g. every Fock state), freezes sites
     1, 2, L-1 and L and has `offset` 2 and the 2**(L-4) interior
     amplitudes as `block`.  Values are immutable after construction: the
-    amplitudes are copied and marked read-only.
+    amplitudes are copied and marked read-only, and no attribute can be
+    set or deleted.
 
     `amplitudes` is the full 2**L vector, the amplitude at index
     ``fock_index(c)`` belonging to configuration ``c``: `block` itself for a
@@ -106,12 +107,25 @@ class StateVector:
     """
 
     def __init__(self, amplitudes, norm_tol: float = 1e-9):
-        self.block = self.amplitudes = _checked_amplitudes(amplitudes, norm_tol)
-        self.L, self.offset, self._frozen = self.block.size.bit_length() - 1, 0, {}
+        self._hold(_checked_amplitudes(amplitudes, norm_tol), {})
+
+    def _hold(self, block: np.ndarray, frozen: dict) -> None:
+        """Set the stored form, once: ``block`` (checked) and the ``frozen`` site -> bit map."""
+        vars(self).update(block=block, _frozen=frozen, offset=2 if frozen else 0,
+                          L=block.size.bit_length() - 1 + len(frozen))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a StateVector is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a StateVector is immutable: cannot delete {name!r}")
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
-        """The full 2**L vector (read-only), built from `block` on first access."""
+        """The full 2**L vector (read-only): `block` itself for a full vector,
+        else built from `block` on first access."""
+        if not self._frozen:
+            return self.block
         amps = np.zeros(self.dim, dtype=complex)
         amps[sector_indices(self.L, *self.sector)] = self.block
         amps.flags.writeable = False
@@ -171,8 +185,7 @@ def sector_state(
     if block.size != 1 << (L - 4):
         raise ValueError(f"block has {block.size} amplitudes, L = {L} needs {1 << (L - 4)}")
     state = StateVector.__new__(StateVector)
-    state.L, state.offset, state.block = L, 2, block
-    state._frozen = {1: low_bits & 1, 2: low_bits >> 1, L - 1: high_bits & 1, L: high_bits >> 1}
+    state._hold(block, {1: low_bits & 1, 2: low_bits >> 1, L - 1: high_bits & 1, L: high_bits >> 1})
     return state
 
 

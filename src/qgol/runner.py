@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from math import floor, inf, isfinite
 from numbers import Integral, Real
@@ -294,17 +294,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> str:
-    """Write one table; returns the SHA-256 of the bytes written."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        for cells in itertools.chain([header], rows):
-            line = (",".join(map(_fmt, cells)) + "\n").encode("utf-8")
-            f.write(line)
-            digest.update(line)
-    return digest.hexdigest()
-
-
 def _evolve(config: RunConfig, initial: SpinConfig, observe):
     """RK4 trajectory of ``config`` from a Fock state; ``observe(t, state)`` sees each snapshot."""
     return evolve_rk4(
@@ -329,37 +318,36 @@ def _initial_config(config: RunConfig) -> SpinConfig:
 
 
 # ---------------------------------------------------------------------------
-# the experiment kinds: each returns its tables, {name: (header, rows)}, in
-# file order, and its summary
+# the experiment kinds: each is ``kind(config, write) -> summary`` and hands
+# every line of its tables, header first, to ``write(name, cells)`` as it makes it
 
 
-def _run_evolve(config: RunConfig) -> tuple[dict, dict]:
-    rows = {name: [] for name in MEASURES if name in config.measures}
+def _run_evolve(config: RunConfig, write) -> dict:
+    names = [name for name in MEASURES if name in config.measures]
+    for name in names:
+        write(name, ["time", *_MEASURE_TABLE[name].header(config)])
 
     def observe(t, state):
         snapshot = _Snapshot(state)
-        for name, measure_rows in rows.items():
-            measure_rows += ([t, *row] for row in _MEASURE_TABLE[name].rows(config, snapshot))
+        for name in names:
+            for row in _MEASURE_TABLE[name].rows(config, snapshot):
+                write(name, [t, *row])
 
     trajectory = _evolve(config, _initial_config(config), observe)
-    tables = {
-        name: (["time", *_MEASURE_TABLE[name].header(config)], measure_rows)
-        for name, measure_rows in rows.items()
-    }
-    return tables, {"snapshots": len(trajectory.times), "norm_drift": trajectory.norm_drift}
+    return {"snapshots": len(trajectory.times), "norm_drift": trajectory.norm_drift}
 
 
-def _run_discrete(config: RunConfig) -> tuple[dict, dict]:
+def _run_discrete(config: RunConfig, write) -> dict:
     """The classical rule or its stroboscopic-projective counterpart, one row per step."""
     initial = _initial_config(config)
     if config.kind == "strobe":
         traj = stroboscopic_quantum(build_hamiltonian(config.L), initial, config.steps)
     else:
         traj = classical_trajectory(initial, config.steps)
-    rows = [[k, k * CLASSICAL_STEP, cfg.to_string(), *_discrete_scalars(cfg.bits)]
-            for k, cfg in enumerate(traj.steps)]
-    header = ["step", "time", "config", *_DISCRETE]
-    return {config.kind: (header, rows)}, {"steps": config.steps}
+    write(config.kind, ["step", "time", "config", *_DISCRETE])
+    for k, cfg in enumerate(traj.steps):
+        write(config.kind, [k, k * CLASSICAL_STEP, cfg.to_string(), *_discrete_scalars(cfg.bits)])
+    return {"steps": config.steps}
 
 
 _SCALARS = [f"{name}_equi_{kind}" for kind in ("quantum", "classical") for name in _DISCRETE]
@@ -384,7 +372,7 @@ def _ensemble_sample(args) -> list:
     return [*row, trajectory.norm_drift]
 
 
-def run_ensemble(config: RunConfig) -> tuple[dict, dict]:
+def _run_ensemble(config: RunConfig, write) -> dict:
     """Evolve `samples` random Fock states and average their equilibria.
 
     Each sample runs the Schrodinger engine (averaged over the quantum
@@ -392,63 +380,56 @@ def run_ensemble(config: RunConfig) -> tuple[dict, dict]:
     window of step times k*pi/2).  Samples are independent; with
     ``workers > 1`` they run in parallel with identical numeric results, in
     a pool of at most one process per sample and per CPU (in-process when
-    that is one).  Returns the ``ensemble`` and ``ensemble_summary`` tables
-    and a summary of the means and standard errors by scalar name.
+    that is one).  Each sample's ``ensemble`` row is written as it arrives,
+    in sample order; the ``ensemble_summary`` table and the summary hold
+    the means and standard errors by scalar name.
     """
     jobs = [(config, k) for k in range(config.samples)]
     workers = min(config.workers, config.samples, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_ensemble_sample, jobs))
-    else:
-        rows = [_ensemble_sample(job) for job in jobs]
+    write("ensemble", ["sample", "config", *_SCALARS, "norm_drift"])
+    scalars = []
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        for row in (pool.map if pool else map)(_ensemble_sample, jobs):
+            write("ensemble", row)
+            scalars.append(row[2:-1])
     means, errors = {}, {}
-    for key, column in zip(_SCALARS, zip(*(row[2:-1] for row in rows))):
+    write("ensemble_summary", ["quantity", "mean", "standard_error"])
+    for key, column in zip(_SCALARS, zip(*scalars)):
         values = np.array(column)
         means[key] = float(values.mean())
         errors[key] = (
             float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
         )
-    tables = {
-        "ensemble": (["sample", "config", *_SCALARS, "norm_drift"], rows),
-        "ensemble_summary": (
-            ["quantity", "mean", "standard_error"],
-            [[k, means[k], errors[k]] for k in _SCALARS],
-        ),
-    }
-    summary = {
+        write("ensemble_summary", [key, means[key], errors[key]])
+    return {
         "means": means,
         "standard_errors": errors,
         "quantum_window": list(config.window),
         "classical_window": list(CLASSICAL_WINDOW),
     }
-    return tables, summary
 
 
-def _run_circulant(config: RunConfig) -> tuple[dict, dict]:
+def _run_circulant(config: RunConfig, write) -> dict:
     model = ring_eigensystem(config.period, config.hopping)
     report = commensurability_check(config.period, config.tolerance, config.q_max)
     gaps = report.gaps
-    ratio_rows = [
-        [a, b, gaps[a], gaps[b], report.ratios[a, b], report.rational[a, b],
-         *((frac.numerator, frac.denominator) if frac is not None else ("", ""))]
-        for (a, b), frac in zip(np.ndindex(report.ratios.shape), report.fractions)
-    ]
-    times = np.arange(0.0, config.t_max + 0.5 * config.dt, config.dt)
-    tables = {
-        "eigenvalues": (["m", "energy"], [[m, model.eigenvalues[m]] for m in range(model.n)]),
-        "gap_ratios": (["a", "b", "gap_a", "gap_b", "ratio", "rational", "p", "q"], ratio_rows),
-        "ring_evolution": (
-            ["time", *(f"p_{k}" for k in range(model.n))],
-            ([t, *ring_evolution(model, config.k0, t)] for t in times),  # written, never held
-        ),
-    }
-    summary = {
+    write("eigenvalues", ["m", "energy"])
+    for m in range(model.n):
+        write("eigenvalues", [m, model.eigenvalues[m]])
+    write("gap_ratios", ["a", "b", "gap_a", "gap_b", "ratio", "rational", "p", "q"])
+    for (a, b), frac in zip(np.ndindex(report.ratios.shape), report.fractions):
+        p_q = (frac.numerator, frac.denominator) if frac is not None else ("", "")
+        write("gap_ratios",
+              [a, b, gaps[a], gaps[b], report.ratios[a, b], report.rational[a, b], *p_q])
+    write("ring_evolution", ["time", *(f"p_{k}" for k in range(model.n))])
+    for t in np.arange(0.0, config.t_max + 0.5 * config.dt, config.dt):
+        write("ring_evolution", [t, *ring_evolution(model, config.k0, t)])
+    return {
         "period": config.period,
         "commensurate": bool(report.commensurate),
         "gaps": [float(g) for g in gaps],
     }
-    return tables, summary
 
 
 #: Every experiment kind: (its runner, the `RunConfig` fields the runner reads
@@ -459,7 +440,7 @@ _KINDS = {
                              "measures", "concurrence_distances", "bonds", "out_dir")),
     "classical": (_run_discrete, ("L", "initial", "rho0", "seed", "steps", "out_dir")),
     "strobe": (_run_discrete, ("L", "initial", "rho0", "seed", "steps", "out_dir")),
-    "ensemble": (run_ensemble, ("L", "rho0", "seed", "t_max", "dt", "sample_every",
+    "ensemble": (_run_ensemble, ("L", "rho0", "seed", "t_max", "dt", "sample_every",
                                 "samples", "window", "workers", "out_dir")),
     "circulant": (_run_circulant, ("period", "hopping", "k0", "q_max", "tolerance",
                                    "t_max", "dt", "out_dir")),
@@ -472,23 +453,42 @@ def run(config: RunConfig) -> dict:
 
     Writes each table of the run as ``<name>.csv`` plus ``manifest.json``
     (the kind and the fields it reads, code version, wall time, and the
-    SHA-256 of each file's bytes) into the output directory.
+    SHA-256 of each file's bytes) into the output directory.  Lines are
+    written and hashed as the kind makes them, under ``<name>.csv.partial``;
+    the files are renamed when the kind returns, and deleted if it raises.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     runner, reads = _KINDS[config.kind]
-    tables, summary = runner(config)
-    files = [
-        {"name": f"{name}.csv", "sha256": _write_csv(out / f"{name}.csv", header, rows)}
-        for name, (header, rows) in tables.items()
-    ]
+    tables = {}  # name -> (partial file, its open handle, SHA-256 of its bytes)
+
+    def write(name, cells):
+        if name not in tables:  # in the order the tables' first lines are written
+            partial = out / f"{name}.csv.partial"
+            tables[name] = (partial, open(partial, "wb"), hashlib.sha256())
+        _, f, digest = tables[name]
+        line = (",".join(map(_fmt, cells)) + "\n").encode("utf-8")
+        f.write(line)
+        digest.update(line)
+
+    try:
+        summary = runner(config, write)
+    except BaseException:
+        for partial, f, _ in tables.values():
+            f.close()
+            partial.unlink()
+        raise
+    for partial, f, _ in tables.values():
+        f.close()
+        partial.replace(partial.with_suffix(""))
     manifest = {
         "config": {"kind": config.kind, **{name: getattr(config, name) for name in reads}},
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - started,
         "summary": summary,
-        "files": files,
+        "files": [{"name": f"{name}.csv", "sha256": digest.hexdigest()}
+                  for name, (_, _, digest) in tables.items()],
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)

@@ -42,7 +42,7 @@ from qgol import (
     reduced_density_matrix,
     ring_eigensystem,
     ring_hamiltonian,
-    run_ensemble,
+    run,
     sample_random_fock,
     single_site_entropies,
     stroboscopic_quantum,
@@ -274,19 +274,20 @@ def test_criterion_08_cluster_melting(h16):
     report(8, "alive clusters melt by ~6*pi/2 and the discretized density settles below 1/2")
 
 
-def test_criterion_09_equilibrium_curves():
+def test_criterion_09_equilibrium_curves(tmp_path):
     L = 16
     densities = [k / 8 for k in range(1, 8)]  # the rho0 = 1 chain is a dark state
 
     quantum = []
     for rho0 in densities:
-        _, summary = run_ensemble(
+        summary = run(
             RunConfig(
                 kind="ensemble", L=L, rho0=rho0, samples=16, seed=20260810,
                 t_max=30.0, dt=0.01, sample_every=25, window=(25.0, 30.0),
                 workers=os.cpu_count() or 1,  # the output does not depend on it
+                out_dir=str(tmp_path / f"rho{rho0}"),
             )
-        )
+        )["summary"]
         quantum.append(summary["means"]["density_equi_quantum"])
 
     rng = np.random.default_rng(7)

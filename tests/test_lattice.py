@@ -119,3 +119,18 @@ def test_state_vector_validation():
     s = StateVector(np.eye(32)[4])
     with pytest.raises(ValueError):
         s.amplitudes[0] = 1.0  # immutable after construction
+
+
+def test_state_vector_refuses_reassignment():
+    s = make_fock_state(SpinConfig.from_string("0011010"))
+    with pytest.raises(AttributeError, match="immutable"):
+        s.offset = 0
+    full = StateVector(np.eye(32)[4])
+    for state in (s, full):
+        for name in ("offset", "block", "L", "amplitudes", "_frozen"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(state, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(state, name)
+    assert (s.L, s.offset, s.sector) == (7, 2, (0b00, 0b01))
+    assert np.flatnonzero(s.amplitudes).tolist() == [fock_index(SpinConfig.from_string("0011010"))]

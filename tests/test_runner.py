@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgol import (
+    IntegrationError,
     RunConfig,
     SpinConfig,
     classical_trajectory,
     equilibrium_average,
     run,
-    run_ensemble,
     sample_random_fock,
 )
 import qgol
@@ -346,16 +346,17 @@ def test_ensemble_pool_is_capped_by_samples_and_cpus(tmp_path, monkeypatch, cpus
     assert capped["files"] == serial["files"]  # names and SHA-256 of every CSV
 
 
-def test_ensemble_result_fields():
+def test_ensemble_result_fields(tmp_path):
     config = RunConfig(
         kind="ensemble", L=8, rho0=0.25, samples=3, seed=7,
-        t_max=1.0, sample_every=10, window=(0.5, 1.0),
+        t_max=1.0, sample_every=10, window=(0.5, 1.0), out_dir=str(tmp_path),
     )
-    tables, summary = run_ensemble(config)
-    header, rows = tables["ensemble"]
+    summary = run(config)["summary"]
+    header, *rows = (tmp_path / "ensemble.csv").read_text().splitlines()
     assert len(rows) == 3
     for row in rows:
-        assert sum(int(b) for b in row[header.index("config")]) == 2  # round(0.25 * 8)
+        config_bits = row.split(",")[header.split(",").index("config")]
+        assert sum(int(b) for b in config_bits) == 2  # round(0.25 * 8)
     assert set(summary["means"]) == set(summary["standard_errors"])
     assert summary["quantum_window"] == [0.5, 1.0]
     assert summary["classical_window"] == [83.0, 100.0]
@@ -417,10 +418,19 @@ def test_manifest_hashes(tmp_path, kind):
     manifest = run(RunConfig(kind=kind, out_dir=str(tmp_path), **options))
     assert set(manifest["config"]) == {"kind", *_READS[kind]}
     assert [entry["name"] for entry in manifest["files"]] == names
-    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*names, "manifest.json"])
     for entry in manifest["files"]:
         digest = hashlib.sha256((tmp_path / entry["name"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+def test_failed_run_leaves_no_table(tmp_path):
+    # the norm blows up after the t = 0 snapshot's rows have been written
+    config = RunConfig(kind="evolve", L=8, initial="01011010", t_max=40.0, dt=1.0,
+                       measures=MEASURES, out_dir=str(tmp_path))
+    with pytest.warns(UserWarning, match="RK4"), pytest.raises(IntegrationError):
+        run(config)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("channel", ["flag", "config-file", "RunConfig"])
@@ -786,6 +796,9 @@ _L22 = ["--length", "22", "--initial", "00" + "101100101100110100" + "00"]
         pytest.param(["strobe", *_L22, "--steps", "5"], 150, id="strobe"),
         # the 100 001 rows of `ring_evolution.csv` are written as they are computed
         pytest.param(["circulant", "--period", "5", "--tmax", "1000"], 70, id="circulant"),
+        # the 450 045 rows of `mi.csv` are written as each snapshot is observed
+        pytest.param(["evolve", "--length", "10", "--initial", "0001101100", "--sample-every", "1",
+                      "--tmax", "100", "--measures", "mi"], 80, id="evolve-long"),
     ],
 )
 def test_evolve_l22_peak_memory(tmp_path, command, bound_mib):
