@@ -7,6 +7,15 @@ nothing is renormalized, and drift beyond `NORM_ABORT` aborts the run.
 RK4, the exact oracle, H psi and <psi|H|psi> all work on the
 frozen-boundary blocks a state has weight in (`_restrict`), never on the
 full 2**L operator.
+
+RK4 runs in real arithmetic.  Every coupling flips one spin, so H
+anticommutes with the parity (-1)**popcount of a basis index (the chiral
+structure behind the PXP model's spectral reflection).  With
+z = psi on even-parity rows and z = i psi on odd-parity rows,
+d/dt z = S z, where S is H with its even-parity rows negated.  S is real,
+so Re z and Im z evolve apart as real vectors, and psi is decoded from z
+only at snapshots: psi = Re z + i Im z on even rows and
+Im z - i Re z on odd rows.
 """
 
 from __future__ import annotations
@@ -189,6 +198,13 @@ def evolve_rk4(
     patterns evolves under the direct sum of its blocks, and its snapshots
     are full vectors.
 
+    The steps are real (module docstring): the block built for this run
+    has its even-parity rows negated in place, giving S, and the real and
+    imaginary parts of z = psi (even rows), i psi (odd rows) that are
+    nonzero each take four real products per step.  A Fock state has one
+    such part, any state at most two.  Products with +-1 entries are
+    exact, so every snapshot is bit-identical to complex RK4 on psi.
+
     Raises
     ------
     IntegrationError
@@ -205,19 +221,26 @@ def evolve_rk4(
         )
 
     # the direct sum of one block is that block: a Fock state holds one copy
-    matrix = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
-
-    def rhs(v):
-        # -i H v via two real products (matrix data is real)
-        return (matrix @ v.imag) - 1j * (matrix @ v.real)
+    signed = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
+    even = (np.bitwise_count(indices) & 1) == 0
+    # S, signed on the matrix built for this run: a copy or a diagonal
+    # product would cost memory or reorder the entries of a row
+    np.negative(signed.data, out=signed.data, where=np.repeat(even, np.diff(signed.indptr)))
+    # Re z and Im z; 0.0 - x keeps every zero +0, as the complex arithmetic does
+    parts = [np.where(even, psi.real, 0.0 - psi.imag), np.where(even, psi.imag, psi.real)]
+    live = [j for j, part in enumerate(parts) if part.any()]
 
     sampled = dict(zip(steps.tolist(), times.tolist()))
     states = [] if keep_states else None
     records = [] if observer is not None else None
     drift = 0.0
 
-    def take_snapshot(t: float, vec: np.ndarray):
+    def take_snapshot(t: float):
         nonlocal drift
+        re_z, im_z = parts
+        vec = np.empty(even.size, dtype=complex)
+        vec.real = np.where(even, re_z, im_z)
+        vec.imag = np.where(even, im_z, 0.0 - re_z)
         error = abs(float(np.linalg.norm(vec)) - 1.0)
         if not error <= NORM_ABORT:  # a NaN or infinite norm fails too
             raise IntegrationError(
@@ -232,17 +255,19 @@ def evolve_rk4(
             if observer is not None:
                 records.append(observer(t, snapshot))
 
-    take_snapshot(0.0, psi)
+    take_snapshot(0.0)
     n_steps = int(steps[-1])
     for step in range(1, n_steps + 1):
         step_dt = dt if step <= n_full else remainder
-        k1 = rhs(psi)
-        k2 = rhs(psi + (0.5 * step_dt) * k1)
-        k3 = rhs(psi + (0.5 * step_dt) * k2)
-        k4 = rhs(psi + step_dt * k3)
-        psi = psi + (step_dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        for j in live:
+            z = parts[j]
+            k1 = signed @ z
+            k2 = signed @ (z + (0.5 * step_dt) * k1)
+            k3 = signed @ (z + (0.5 * step_dt) * k2)
+            k4 = signed @ (z + step_dt * k3)
+            parts[j] = z + (step_dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if step in sampled:
-            take_snapshot(sampled[step], psi)
+            take_snapshot(sampled[step])
 
     return Trajectory(
         times=times,

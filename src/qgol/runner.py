@@ -456,8 +456,15 @@ def run(config: RunConfig) -> dict:
     SHA-256 of each file's bytes) into the output directory.  Lines are
     written and hashed as the kind makes them, under ``<name>.csv.partial``;
     the files are renamed when the kind returns, and deleted if it raises.
+    A directory that already holds a manifest or a table of an earlier run
+    is refused before the kind starts, and nothing in it is touched.
     """
     out = Path(config.out_dir)
+    patterns = ("manifest.json", "*.csv", "*.csv.partial")  # what a run, finished or not, leaves
+    used = sorted({p.name for pattern in patterns for p in out.glob(pattern)})
+    if used:
+        raise ValueError(f"output directory {str(out)!r} already holds {', '.join(used)} "
+                         "from an earlier run; choose a new one")
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     runner, reads = _KINDS[config.kind]

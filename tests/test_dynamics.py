@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qgol import (
     CLASSICAL_STEP,
@@ -20,7 +21,8 @@ from qgol import (
     overlap,
     stroboscopic_quantum,
 )
-from qgol.dynamics import snapshot_grid
+from qgol.dynamics import _restrict, snapshot_grid
+from qgol.lattice import sector_state
 
 BLINKER_11 = "00001010000"
 
@@ -206,6 +208,59 @@ def test_fock_evolution_stays_in_sector_form():
     for state in [psi, *tr.states]:
         assert state.sector == (0b11, 0b10)
         assert "amplitudes" not in vars(state)
+
+
+def _complex_rk4(h, initial, t_max, dt, sample_every):
+    """The complex RK4 loop the real one replaced: each snapshot's amplitudes
+    on the state's sectors, and the largest norm drift."""
+    n_full, remainder, steps, _ = snapshot_grid(t_max, dt, sample_every)
+    _, blocks, _, psi = _restrict(h, initial)
+    matrix = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
+
+    def rhs(v):
+        return (matrix @ v.imag) - 1j * (matrix @ v.real)
+
+    snapshots = [psi]
+    for step in range(1, int(steps[-1]) + 1):
+        step_dt = dt if step <= n_full else remainder
+        k1 = rhs(psi)
+        k2 = rhs(psi + (0.5 * step_dt) * k1)
+        k3 = rhs(psi + (0.5 * step_dt) * k2)
+        k4 = rhs(psi + step_dt * k3)
+        psi = psi + (step_dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if step in steps:
+            snapshots.append(psi)
+    return snapshots, max(abs(float(np.linalg.norm(v)) - 1.0) for v in snapshots)
+
+
+def _start(kind, L):
+    bulk = "0110" * (L // 4)
+    if kind == "even-fock":
+        return make_fock_state(SpinConfig.from_string("10" + bulk[: L - 4] + "01"))
+    if kind == "odd-fock":
+        return make_fock_state(SpinConfig.from_string("11" + bulk[: L - 4] + "01"))
+    rng = np.random.default_rng(L)
+    if kind == "complex":
+        block = rng.normal(size=1 << (L - 4)) + 1j * rng.normal(size=1 << (L - 4))
+        return sector_state(L, 0b10, 0b11, block / np.linalg.norm(block))
+    amps = np.zeros(1 << L, dtype=complex)  # two boundary sectors, unequal complex weights
+    amps[fock_index(SpinConfig.from_string("01" + bulk[: L - 4] + "10"))] = 0.6
+    amps[fock_index(SpinConfig.from_string("00" + bulk[1 : L - 3] + "11"))] = 0.8j
+    return StateVector(amps)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("kind", ["even-fock", "odd-fock", "complex", "two-sectors"])
+def test_real_rk4_is_bit_identical_to_complex_rk4(L, kind):
+    h = build_hamiltonian(L)
+    initial = _start(kind, L)
+    # 253 whole steps and a shortened last one of 0.007
+    tr = evolve_rk4(h, initial, 2.537, sample_every=40)
+    expected, drift = _complex_rk4(h, initial, 2.537, 0.01, 40)
+    assert len(tr.states) == len(expected) == 8
+    for state, vec in zip(tr.states, expected):
+        assert np.array_equal(_restrict(h, state)[3], vec)
+    assert tr.norm_drift == drift
 
 
 def test_rk4_lands_exactly_on_t_max(h5):

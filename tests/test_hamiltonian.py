@@ -9,6 +9,7 @@ from qgol import (
     config_from_index,
     dense_hamiltonian,
     energy_expectation,
+    evolve_rk4,
     fock_index,
     frozen_sector,
     make_fock_state,
@@ -150,6 +151,30 @@ def test_frozen_sector_structure(L, low, high):
     _, mirror = frozen_sector(h, _reverse_bits(high, 2), _reverse_bits(low, 2))
     perm = _reverse_bits(np.arange(1 << (L - 4)), L - 4)
     assert (block[perm][:, perm] != mirror).nnz == 0
+
+
+@given(st.integers(6, 12))
+def test_every_block_entry_couples_opposite_global_parities(L):
+    # the signed real RK4 rests on this: H anticommutes with (-1)**popcount
+    # of the basis index, in every one of the 16 boundary sectors
+    h = build_hamiltonian(L)
+    couplings = 0
+    for low in range(4):
+        for high in range(4):
+            indices, block = frozen_sector(h, low, high)
+            coo = block.tocoo()
+            parity = np.bitwise_count(indices) & 1
+            assert np.all(parity[coo.row] != parity[coo.col])
+            couplings += coo.nnz
+    assert couplings > 0
+
+
+def test_evolution_leaves_fresh_blocks_unsigned(h8):
+    # evolve_rk4 signs the block it built for its own run, never one shared with later calls
+    psi = make_fock_state(SpinConfig.from_string("01011010"))
+    evolve_rk4(h8, psi, 0.5)
+    _, block = frozen_sector(h8, 0b10, 0b01)
+    assert block.nnz and np.all(block.data == 1.0)
 
 
 def test_full_matrix_is_the_direct_sum_of_the_blocks():

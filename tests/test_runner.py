@@ -433,6 +433,37 @@ def test_failed_run_leaves_no_table(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def _tree(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def test_run_into_a_used_directory_is_refused_untouched(tmp_path, capsys, monkeypatch):
+    # a second run with fewer measures would publish a manifest beside stale tables
+    base = ["evolve", "--length", "8", "--initial", "00101100", "--tmax", "0.5",
+            "--out", str(tmp_path)]
+    assert main([*base, "--measures", "all"]) == 0
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    monkeypatch.setattr(qgol.runner, "evolve_rk4", lambda *a, **k: pytest.fail("kind started"))
+    assert main([*base, "--measures", "populations"]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "already holds" in record["message"] and "manifest.json" in record["message"]
+    assert _tree(tmp_path) == before
+
+
+def test_run_beside_a_leftover_partial_table_is_refused_untouched(tmp_path, monkeypatch):
+    # what a killed run leaves behind
+    (tmp_path / "mi.csv.partial").write_bytes(b"time,i,j,value\n0,1,2,")
+    before = _tree(tmp_path)
+    monkeypatch.setattr(qgol.runner, "evolve_rk4", lambda *a, **k: pytest.fail("kind started"))
+    config = RunConfig(kind="evolve", L=10, initial="0001101100", measures=("mi",),
+                       out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=r"already holds mi\.csv\.partial"):
+        run(config)
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("channel", ["flag", "config-file", "RunConfig"])
 @pytest.mark.parametrize("kind", list(_ONE_RUN_PER_KIND))
 def test_unread_field_off_its_default_refused_before_writing(tmp_path, capsys, kind, channel):
