@@ -359,14 +359,17 @@ def _ensemble_sample(args) -> list:
     config, index = args
     initial = sample_random_fock(config.L, config.rho0, sample_rng(config.seed, index))
 
-    def observe(t, state):
-        return _discrete_scalars(discretize(local_population(state)))
+    def observe(t, state):  # only the snapshots inside the window are averaged
+        if config.window[0] <= t <= config.window[1]:
+            return t, _discrete_scalars(discretize(local_population(state)))
+        return None
 
     trajectory = _evolve(config, initial, observe)
+    inside, quantum = zip(*filter(None, trajectory.records))  # RunConfig checks it holds one
     ctraj = classical_trajectory(initial, int(floor(CLASSICAL_WINDOW[1] / CLASSICAL_STEP)))
     classical = [_discrete_scalars(cfg.bits) for cfg in ctraj.steps]
     row = [index, initial.to_string()]
-    for times, values, window in ((trajectory.times, trajectory.records, config.window),
+    for times, values, window in ((inside, quantum, config.window),
                                   (ctraj.times, classical, CLASSICAL_WINDOW)):
         row += (equilibrium_average(times, series, window) for series in zip(*values))
     return [*row, trajectory.norm_drift]

@@ -21,7 +21,9 @@ from qgol import (
     overlap,
     stroboscopic_quantum,
 )
+import qgol.dynamics
 from qgol.dynamics import _restrict, snapshot_grid
+from qgol.hamiltonian import frozen_sector
 from qgol.lattice import sector_state
 
 BLINKER_11 = "00001010000"
@@ -261,6 +263,28 @@ def test_real_rk4_is_bit_identical_to_complex_rk4(L, kind):
     for state, vec in zip(tr.states, expected):
         assert np.array_equal(_restrict(h, state)[3], vec)
     assert tr.norm_drift == drift
+
+
+@pytest.mark.parametrize("kind", ["odd-fock", "complex"])
+def test_rk4_products_accept_int64_block_indices(monkeypatch, kind):
+    # the steps call scipy's private CSR kernel directly; a block with int64
+    # indices, as `_rule_csr` builds past 2**31 couplings, gives the same bits
+    def int64_sector(h, low_bits, high_bits):
+        indices, block = frozen_sector(h, low_bits, high_bits)
+        block.indices, block.indptr = block.indices.astype(np.int64), block.indptr.astype(np.int64)
+        return indices, block
+
+    h = build_hamiltonian(12)
+    initial = _start(kind, 12)
+    expected = evolve_rk4(h, initial, 2.537, sample_every=40)
+    monkeypatch.setattr(qgol.dynamics, "frozen_sector", int64_sector)
+    blocks = _restrict(h, initial)[1]
+    assert blocks[0].indices.dtype == blocks[0].indptr.dtype == np.int64
+    tr = evolve_rk4(h, initial, 2.537, sample_every=40)
+    assert len(tr.states) == len(expected.states) == 8
+    for state, want in zip(tr.states, expected.states):
+        assert state.block.tobytes() == want.block.tobytes()  # signed zeros too
+    assert tr.norm_drift == expected.norm_drift
 
 
 def test_rk4_lands_exactly_on_t_max(h5):

@@ -362,6 +362,16 @@ def test_ensemble_result_fields(tmp_path):
     assert summary["classical_window"] == [83.0, 100.0]
 
 
+def test_ensemble_observes_only_the_snapshots_it_averages(tmp_path, monkeypatch):
+    # the default grid to t = 30 takes 121 snapshots, 21 of them in the window [25, 30]
+    calls = []
+    population = qgol.runner.local_population
+    monkeypatch.setattr(qgol.runner, "local_population",
+                        lambda state: calls.append(state) or population(state))
+    run(RunConfig(kind="ensemble", L=8, rho0=0.5, samples=2, seed=3, out_dir=str(tmp_path)))
+    assert len(calls) == 2 * 21
+
+
 #: A small run of each kind, with the CSVs it writes in the order it writes them.
 _ONE_RUN_PER_KIND = {
     "evolve": (
