@@ -17,11 +17,16 @@ so Re z and Im z evolve apart as real vectors, and psi is decoded from z
 only at snapshots: psi = Re z + i Im z on even rows and
 Im z - i Re z on odd rows.
 
-A run allocates its stage vectors once: k1..k4 as one (4, n) array and
-one stage-input buffer.  Each product goes through scipy's CSR kernel
-(the one `signed @ x` calls) straight into its zeroed row, and every
-vector operation writes in place, so nothing of block size is allocated
-per step.
+Between two snapshots RK4 applies one polynomial.  A step of the linear
+equation d/dt z = S z is exactly z <- P(dt S) z, with P(x) = 1 + x + x**2/2
++ x**3/6 + x**4/24, so m steps are P(dt S)**m.  That polynomial is
+evaluated as a Chebyshev expansion (Tal-Ezer and Kosloff, J. Chem. Phys.
+81, 3967 (1984)) on the spectral interval [-a, a], where a is the block's
+largest row count (Gershgorin: every entry is +-1).  Its coefficients
+come from one FFT at Chebyshev nodes and are cut where the dropped terms
+sum to 1e-15 of all, so an interval of length T takes about a T + 10
+sparse products instead of 4m, never more than 4m, and the result is the
+stepped RK4 trajectory up to rounding.
 """
 
 from __future__ import annotations
@@ -41,6 +46,18 @@ from .lattice import SpinConfig, StateVector, _amplitudes, sector_state, split_i
 
 #: Integration aborts when a sampled state drifts this far from unit norm.
 NORM_ABORT = 1e-4
+
+#: RK4's Chebyshev expansion keeps terms until the dropped ones sum to this
+#: fraction of all.
+_CHEBYSHEV_TAIL = 1e-15
+
+#: RK4's map between snapshots is refused when its Chebyshev coefficients sum
+#: past this: the sum's rounding, about 2e-16 times that, would pass for RK4.
+_MAX_GAIN = 1e4
+
+#: Most RK4 steps one expansion covers; a longer interval is applied in pieces
+#: this long, which bounds the coefficient FFT and the expansion's size.
+_MAX_PIECE = 10_000
 
 #: Largest lattice `evolve_exact` diagonalizes (a 1024-dimensional block).
 EXACT_MAX_SITES = 14
@@ -181,6 +198,62 @@ def _state(h: SparseHamiltonian, sectors: list, indices: np.ndarray, vec, norm_t
     return StateVector(full, norm_tol=norm_tol)
 
 
+def _rk4_polynomial(x):
+    """RK4's stability polynomial: one step of d/dt z = S z is z <- P(dt S) z."""
+    return 1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0)))
+
+
+def _spectral_bound(block) -> int:
+    """A bound on the spectral radius of a block with +-1 entries: its
+    largest row count (Gershgorin), 0 for a block with no couplings."""
+    return int(np.diff(block.indptr).max(initial=0))
+
+
+def _rk4_chebyshev(steps: int, remainder: float, dt: float, bound: int) -> np.ndarray:
+    """Coefficients d with P(dt S)**steps P(remainder S) = sum_k d[k] R_k(S / bound).
+
+    R_0 = 1, R_1 = y and R_(k+1) = 2 y R_k + R_(k-1) are real, and
+    T_k(i y) = i**k R_k(y).  The spectrum of S / bound is -i mu with mu in
+    [-1, 1], so d[k] = Re(i**k c[k]) for the Chebyshev coefficients c of
+    F(mu) = P(-i dt bound mu)**steps P(-i remainder bound mu); F(-mu) is the
+    conjugate of F(mu), so i**k c[k] is real.  c comes from one FFT of F at
+    n + 1 Chebyshev extrema, exact for n = deg F; fewer nodes are used while
+    the kept terms fit in the lower half of them.  Terms are kept until the
+    dropped ones sum to `_CHEBYSHEV_TAIL` of all, counting those below the
+    rounding of F's values as zero.  The sum's rounding error is about eps
+    sum |d|, so an interval whose |d| sum past `_MAX_GAIN` raises
+    IntegrationError: only a step beyond RK4's stability limit for the
+    bound makes F exceed 1 on [-1, 1].
+    """
+    degree = 4 * steps + (4 if remainder else 0)
+    n = min(16, degree)
+    while True:
+        mu = np.cos(np.pi / n * np.arange(n + 1))
+        f = _rk4_polynomial(-1j * dt * bound * mu) ** steps
+        if remainder:
+            f *= _rk4_polynomial(-1j * remainder * bound * mu)
+        c = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[: n + 1] / n  # a DCT-I
+        c[[0, n]] /= 2
+        d = (c * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]).real
+        mags = np.abs(d)
+        gain = mags.sum()
+        if not gain <= _MAX_GAIN:  # an overflow's NaN fails too
+            raise IntegrationError(
+                f"dt = {dt} is unstable on this block (dt*a = {dt * bound:.3g} > 2*sqrt(2) "
+                f"for a = {bound}): RK4's map over {steps} steps would amplify rounding "
+                f"{gain:.3g}-fold; reduce dt"
+            )
+        # F's values carry a phase of up to bound * T, so they are rounded to
+        # about eps * bound * T; coefficients below that are noise, not terms
+        noise = np.finfo(float).eps * (4.0 + bound * (steps * dt + remainder)) * np.abs(f).max()
+        mags[mags <= noise] = 0.0
+        tail = np.cumsum(mags[::-1])[::-1]  # tail[k] = sum of mags[k:]
+        keep = int(np.count_nonzero(tail > _CHEBYSHEV_TAIL * tail[0]))
+        if 2 * keep <= n or n == degree:
+            return d[:keep]
+        n = min(2 * n, degree)
+
+
 def evolve_rk4(
     h: SparseHamiltonian,
     initial: StateVector,
@@ -206,20 +279,26 @@ def evolve_rk4(
     patterns evolves under the direct sum of its blocks, and its snapshots
     are full vectors.
 
-    The steps are real (module docstring): the block built for this run
-    has its even-parity rows negated in place, giving S, and the real and
-    imaginary parts of z = psi (even rows), i psi (odd rows) that are
-    nonzero each take four real products per step.  A Fock state has one
-    such part, any state at most two.  Products with +-1 entries are
-    exact, so every snapshot is bit-identical to complex RK4 on psi.  The
-    stage vectors are allocated once per run and each step runs in place
-    in the operation order of the RK4 update, so it allocates nothing.
+    The arithmetic is real (module docstring): the block built for this
+    run has its even-parity rows negated and is scaled by 2 / a in place,
+    giving S' = 2 S / a, and the real and imaginary parts of
+    z = psi (even rows), i psi (odd rows) that are nonzero each evolve on
+    their own; a Fock state has one such part, any state at most two.
+    The RK4 steps between two snapshots are applied at once as their
+    Chebyshev expansion (`_rk4_chebyshev`, cached per interval length; an
+    interval over `_MAX_PIECE` steps is applied in pieces that long):
+    each term is one product with S' added into the buffer holding the
+    term before last, and the sum differs from stepping by rounding
+    (about 1e-14), not by RK4's error.  An interval costs at most the 4
+    products per step that stepping would.  A block with no couplings
+    (a = 0) leaves z as it is.
 
     Raises
     ------
     IntegrationError
         If a sampled norm drifts more than `NORM_ABORT` from 1 (the step is
-        too large for the spectral radius of H).
+        too large for the spectral radius of H), or if dt is beyond RK4's
+        stability limit for the block's bound a (`_rk4_chebyshev`).
     """
     n_full, remainder, steps, times = snapshot_grid(t_max, dt, sample_every)
     sectors, blocks, indices, psi = _restrict(h, initial)
@@ -233,14 +312,16 @@ def evolve_rk4(
     # the direct sum of one block is that block: a Fock state holds one copy
     signed = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
     even = (np.bitwise_count(indices) & 1) == 0
-    # S, signed on the matrix built for this run: a copy or a diagonal
+    # S' = 2 S / a, on the matrix built for this run: a copy or a diagonal
     # product would cost memory or reorder the entries of a row
     np.negative(signed.data, out=signed.data, where=np.repeat(even, np.diff(signed.indptr)))
+    bound = _spectral_bound(signed)
+    if bound:
+        np.multiply(signed.data, 2.0 / bound, out=signed.data)
     # Re z and Im z; 0.0 - x keeps every zero +0, as the complex arithmetic does
     parts = [np.where(even, psi.real, 0.0 - psi.imag), np.where(even, psi.imag, psi.real)]
     live = [j for j, part in enumerate(parts) if part.any()]
 
-    sampled = dict(zip(steps.tolist(), times.tolist()))
     states = [] if keep_states else None
     records = [] if observer is not None else None
     drift = 0.0
@@ -265,35 +346,46 @@ def evolve_rk4(
             if observer is not None:
                 records.append(observer(t, snapshot))
 
-    # product(x, y) adds S x into y: `signed @ x` calls this kernel on a
-    # fresh zeroed array, here it fills a stage row zeroed by k.fill
+    # product(x, y) adds S' x into y: `signed @ x` calls this kernel on a
+    # fresh zeroed array
     product = partial(csr_matvec, even.size, even.size, signed.indptr, signed.indices, signed.data)
-    k = np.empty((4, even.size))
-    k1, k2, k3, k4 = k
-    x = np.empty(even.size)  # each stage's input, then the update
+    out, r1, term = np.empty((3, even.size))
+    expansions = {}
+
+    def advance(count: int, last_step: float):
+        """Apply RK4's map over ``count`` steps of dt and one of ``last_step``
+        (none when 0.0), as `_rk4_chebyshev` expands it."""
+        nonlocal out
+        key = (count, last_step)
+        if key not in expansions:
+            expansions[key] = _rk4_chebyshev(count, last_step, dt, bound)
+        d = expansions[key]
+        for j in live:
+            # sum_k d_k R_k z; R_(k+1) = S' R_k + R_(k-1) overwrites R_(k-1),
+            # which starts as z itself
+            z = parts[j]
+            np.multiply(d[0], z, out=out)
+            if d.size > 1:
+                r1.fill(0.0)
+                product(z, r1)
+                np.multiply(0.5, r1, out=r1)
+            older, last = z, r1
+            for k in range(1, d.size):
+                np.add(out, np.multiply(d[k], last, out=term), out=out)
+                if k + 1 < d.size:
+                    product(last, older)
+                    older, last = last, older
+            parts[j], out = out, z
 
     take_snapshot(0.0)
-    n_steps = int(steps[-1])
-    for step in range(1, n_steps + 1):
-        step_dt = dt if step <= n_full else remainder
-        half = 0.5 * step_dt
-        for j in live:
-            # z + (dt/6)(k1 + 2(k2 + k3) + k4), each operation in place and
-            # in the order of the expression, so the rounding is unchanged
-            z = parts[j]
-            k.fill(0.0)
-            product(z, k1)
-            np.add(z, np.multiply(half, k1, out=x), out=x)
-            product(x, k2)
-            np.add(z, np.multiply(half, k2, out=x), out=x)
-            product(x, k3)
-            np.add(z, np.multiply(step_dt, k3, out=x), out=x)
-            product(x, k4)
-            np.multiply(2.0, np.add(k2, k3, out=x), out=x)
-            np.add(np.add(k1, x, out=x), k4, out=x)
-            np.add(z, np.multiply(step_dt / 6.0, x, out=x), out=z)
-        if step in sampled:
-            take_snapshot(sampled[step])
+    for start, stop, t in zip(steps[:-1].tolist(), steps[1:].tolist(), times[1:].tolist()):
+        short = stop > n_full  # the interval ends in the shortened step
+        pieces, rest = divmod(stop - start - short, _MAX_PIECE)
+        for _ in range(pieces):
+            advance(_MAX_PIECE, 0.0)
+        if rest or short:
+            advance(rest, remainder if short else 0.0)
+        take_snapshot(t)
 
     return Trajectory(
         times=times,

@@ -22,7 +22,7 @@ from qgol import (
     stroboscopic_quantum,
 )
 import qgol.dynamics
-from qgol.dynamics import _restrict, snapshot_grid
+from qgol.dynamics import _restrict, _spectral_bound, snapshot_grid
 from qgol.hamiltonian import frozen_sector
 from qgol.lattice import sector_state
 
@@ -73,7 +73,10 @@ def test_classical_times_grid():
 
 
 def test_rk4_dead_state_constant(h5):
-    tr = evolve_rk4(h5, make_fock_state(SpinConfig((0,) * 5)), 2.0, sample_every=50)
+    # the dead block has no couplings, so the expansion's bound a is 0
+    psi = make_fock_state(SpinConfig((0,) * 5))
+    assert _spectral_bound(_restrict(h5, psi)[1][0]) == 0
+    tr = evolve_rk4(h5, psi, 2.0, sample_every=50)
     for state in tr.states:
         assert state.amplitudes[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -213,7 +216,7 @@ def test_fock_evolution_stays_in_sector_form():
 
 
 def _complex_rk4(h, initial, t_max, dt, sample_every):
-    """The complex RK4 loop the real one replaced: each snapshot's amplitudes
+    """Complex RK4 stepped one step at a time: each snapshot's amplitudes
     on the state's sectors, and the largest norm drift."""
     n_full, remainder, steps, _ = snapshot_grid(t_max, dt, sample_every)
     _, blocks, _, psi = _restrict(h, initial)
@@ -251,18 +254,133 @@ def _start(kind, L):
     return StateVector(amps)
 
 
-@pytest.mark.parametrize("L", [8, 12])
-@pytest.mark.parametrize("kind", ["even-fock", "odd-fock", "complex", "two-sectors"])
-def test_real_rk4_is_bit_identical_to_complex_rk4(L, kind):
+def _check_against_stepped_rk4(L, kind, t_max, sample_every, tol):
+    # the expansion is RK4's own map between snapshots: it differs from the
+    # stepped loop by rounding, far less than RK4 differs from exp(-iHt)
     h = build_hamiltonian(L)
     initial = _start(kind, L)
+    tr = evolve_rk4(h, initial, t_max, sample_every=sample_every)
+    expected, drift = _complex_rk4(h, initial, t_max, 0.01, sample_every)
+    assert len(tr.states) == len(expected) == len(tr.times)
+    for t, state, vec in zip(tr.times, tr.states, expected):
+        amplitudes = _restrict(h, state)[3]
+        off = np.abs(amplitudes - vec).max()
+        assert off <= tol, (t, off)
+        exact = _restrict(h, evolve_exact(h, initial, t))[3]
+        assert 1e4 * np.linalg.norm(amplitudes - vec) <= np.linalg.norm(amplitudes - exact), t
+    assert abs(tr.norm_drift - drift) <= tol
+    return len(tr.states)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("kind", ["even-fock", "odd-fock", "complex", "two-sectors"])
+def test_rk4_matches_the_stepped_complex_rk4(L, kind):
     # 253 whole steps and a shortened last one of 0.007
-    tr = evolve_rk4(h, initial, 2.537, sample_every=40)
-    expected, drift = _complex_rk4(h, initial, 2.537, 0.01, 40)
-    assert len(tr.states) == len(expected) == 8
-    for state, vec in zip(tr.states, expected):
-        assert np.array_equal(_restrict(h, state)[3], vec)
-    assert tr.norm_drift == drift
+    assert _check_against_stepped_rk4(L, kind, 2.537, 40, 1e-13) == 8
+
+
+@pytest.mark.parametrize(
+    "L, kind, t_max, sample_every, tol",
+    [(8, "two-sectors", 2.537, 1, 1e-13), (14, "complex", 100.0, 10_000, 1e-11)],
+    ids=["every-step", "one-10000-step-interval"],
+)
+def test_rk4_matches_the_stepped_complex_rk4_on_extreme_grids(L, kind, t_max, sample_every, tol):
+    _check_against_stepped_rk4(L, kind, t_max, sample_every, tol)
+
+
+def test_rk4_applies_a_long_interval_in_pieces(monkeypatch):
+    # 100-step intervals in pieces of 30, the last one ending in the short step
+    monkeypatch.setattr(qgol.dynamics, "_MAX_PIECE", 30)
+    _check_against_stepped_rk4(8, "two-sectors", 2.537, 100, 1e-13)
+
+
+def test_rk4_refuses_a_step_unstable_for_the_bound():
+    # at dt*a = 3.2 > 2 sqrt(2) a 25-step expansion's coefficients sum to
+    # about 1e9, and its rounding put a snapshot 4e-6 off stepped RK4 while
+    # both kept this low-energy eigenvector within the norm check
+    L, low, high = 12, 0b10, 0b11
+    h = build_hamiltonian(L)
+    block = frozen_sector(h, low, high)[1]
+    a = _spectral_bound(block)
+    energies, vectors = np.linalg.eigh(block.toarray())
+    initial = sector_state(L, low, high, vectors[:, np.argmin(np.abs(energies - 0.05 * a))] + 0j)
+    dt = 3.2 / a
+    assert _complex_rk4(h, initial, 100 * dt, dt, 25)[1] < 1e-4
+    with pytest.warns(UserWarning, match="RK4"), pytest.raises(IntegrationError, match="unstable"):
+        evolve_rk4(h, initial, 100 * dt, dt=dt, sample_every=25)
+
+
+def _counted_products(monkeypatch):
+    """Count the sparse products `evolve_rk4` takes."""
+    count = [0]
+    kernel = qgol.dynamics.csr_matvec
+
+    def counting(*args):
+        count[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(qgol.dynamics, "csr_matvec", counting)
+    return count
+
+
+@pytest.mark.parametrize("kind", ["odd-fock", "complex"])
+@pytest.mark.parametrize("t_max, sample_every",
+                         [(2.537, 1), (2.537, 7), (2.5, 40), (2.537, 1 << 30)])
+def test_rk4_takes_at_most_four_products_per_step(monkeypatch, kind, t_max, sample_every):
+    h = build_hamiltonian(10)
+    initial = _start(kind, 10)
+    live = 1 if kind == "odd-fock" else 2
+    count = _counted_products(monkeypatch)
+    counts = []
+    evolve_rk4(h, initial, t_max, sample_every=sample_every,
+               observer=lambda t, s: counts.append(count[0]))
+    steps = snapshot_grid(t_max, 0.01, sample_every)[2]
+    assert counts[0] == 0
+    assert np.all(np.diff(counts) <= 4 * np.diff(steps) * live), (np.diff(counts), np.diff(steps))
+
+
+def test_rk4_takes_at_most_30_products_per_25_steps_at_l16(monkeypatch):
+    h = build_hamiltonian(16)
+    initial = make_fock_state(SpinConfig.from_string("1001101011100101"))
+    count = _counted_products(monkeypatch)
+    counts = []
+    evolve_rk4(h, initial, 1.0, sample_every=25, keep_states=False,
+               observer=lambda t, s: counts.append(count[0]))
+    assert len(counts) == 5
+    assert 0 < max(np.diff(counts)) <= 30, np.diff(counts)
+
+
+def _expansion_bounds(monkeypatch):
+    """The spectral bound `evolve_rk4` hands to its Chebyshev expansion."""
+    bounds = []
+    expansion = qgol.dynamics._rk4_chebyshev
+
+    def recording(steps, remainder, dt, bound):
+        bounds.append(bound)
+        return expansion(steps, remainder, dt, bound)
+
+    monkeypatch.setattr(qgol.dynamics, "_rk4_chebyshev", recording)
+    return bounds
+
+
+def test_rk4_spectral_bound_holds_for_every_block(monkeypatch):
+    bounds = _expansion_bounds(monkeypatch)
+    for L in range(5, 11):
+        h = build_hamiltonian(L)
+        for low in range(4):
+            for high in range(4):
+                _, block = frozen_sector(h, low, high)
+                start = np.zeros(block.shape[0], dtype=complex)
+                start[0] = 1.0
+                evolve_rk4(h, sector_state(L, low, high, start), 0.01)
+                radius = np.abs(np.linalg.eigvalsh(block.toarray())).max(initial=0.0)
+                assert radius <= bounds[-1] + 1e-12, (L, low, high, radius, bounds[-1])
+    assert 0 in bounds  # blocks with no couplings exist, and leave z as it is
+    h = build_hamiltonian(10)
+    initial = _start("two-sectors", 10)
+    evolve_rk4(h, initial, 0.01)
+    direct_sum = sp.block_diag(_restrict(h, initial)[1]).toarray()
+    assert np.abs(np.linalg.eigvalsh(direct_sum)).max() <= bounds[-1] + 1e-12
 
 
 @pytest.mark.parametrize("kind", ["odd-fock", "complex"])
