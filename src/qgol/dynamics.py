@@ -24,9 +24,16 @@ evaluated as a Chebyshev expansion (Tal-Ezer and Kosloff, J. Chem. Phys.
 81, 3967 (1984)) on the spectral interval [-a, a], where a is the block's
 largest row count (Gershgorin: every entry is +-1).  Its coefficients
 come from one FFT at Chebyshev nodes and are cut where the dropped terms
-sum to 1e-15 of all, so an interval of length T takes about a T + 10
-sparse products instead of 4m, never more than 4m, and the result is the
-stepped RK4 trajectory up to rounding.
+sum to 1e-15 of all, so m steps take about a m dt sparse products plus a
+tail of 10 to 40 instead of 4m, and the result is the stepped RK4
+trajectory up to rounding.
+
+The Chebyshev vectors R_k z depend on the start state z only, not on how
+far the map reaches, so one run of their recurrence serves a window of
+snapshots: up to `_MAX_WINDOW` of them within `_MAX_PIECE` steps, each the
+sum of the same vectors with its own coefficients.  The tail is paid once
+per window rather than once per snapshot, and the sums are matrix
+products of the coefficient rows with chunks of the vectors.
 """
 
 from __future__ import annotations
@@ -59,6 +66,20 @@ _MAX_GAIN = 1e4
 #: this long, which bounds the coefficient FFT and the expansion's size.
 _MAX_PIECE = 10_000
 
+#: Most snapshots one run of the Chebyshev recurrence serves.
+_MAX_WINDOW = 16
+
+#: Most new terms of the recurrence held before they are added into a
+#: window's snapshots.
+_CHUNK = 16
+
+#: Bytes a window's snapshot rows and its chunk of terms may hold; at large L
+#: the window and the chunk shrink to fit.
+_WINDOW_BYTES = 64 << 20
+
+#: Columns of a window added per matrix product, so the sums stay in cache.
+_SLAB = 2048
+
 #: Largest lattice `evolve_exact` diagonalizes (a 1024-dimensional block).
 EXACT_MAX_SITES = 14
 
@@ -73,12 +94,14 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Sampled quantum evolution: times, optional states, observer records."""
+    """Sampled quantum evolution: times, optional states, observer records,
+    the largest norm drift and the sparse products the integration took."""
 
     times: np.ndarray
     states: list[StateVector] | None
     records: list | None
     norm_drift: float
+    products: int
 
 
 @dataclass
@@ -284,14 +307,22 @@ def evolve_rk4(
     giving S' = 2 S / a, and the real and imaginary parts of
     z = psi (even rows), i psi (odd rows) that are nonzero each evolve on
     their own; a Fock state has one such part, any state at most two.
-    The RK4 steps between two snapshots are applied at once as their
-    Chebyshev expansion (`_rk4_chebyshev`, cached per interval length; an
-    interval over `_MAX_PIECE` steps is applied in pieces that long):
-    each term is one product with S' added into the buffer holding the
-    term before last, and the sum differs from stepping by rounding
-    (about 1e-14), not by RK4's error.  An interval costs at most the 4
-    products per step that stepping would.  A block with no couplings
-    (a = 0) leaves z as it is.
+
+    RK4's maps to the next snapshots are applied as Chebyshev expansions
+    (`_rk4_chebyshev`, cached per span) that share one run of the
+    recurrence R_(k+1) = S' R_k + R_(k-1), each term one product with S'
+    added into a copy of the term before last.  A window takes up to
+    `_MAX_WINDOW` snapshots within `_MAX_PIECE` steps of its start (an
+    interval longer than that is reached in pieces that long); the
+    coefficient rows of its snapshots, times each chunk of up to `_CHUNK`
+    new terms, are added into one row per snapshot.  The rows and the
+    chunk fit in `_WINDOW_BYTES`, so at large L the window and the chunk
+    are shorter.  Each snapshot is taken as soon as its own terms are in,
+    and a window ends before a snapshot that would need more new terms than
+    the 4 products per step stepping takes.  The sums differ from stepping
+    by rounding (about 1e-14), not by RK4's error.  A block with no
+    couplings (a = 0) leaves z as it is.  ``Trajectory.products`` counts
+    the sparse products taken.
 
     Raises
     ------
@@ -346,52 +377,106 @@ def evolve_rk4(
             if observer is not None:
                 records.append(observer(t, snapshot))
 
+    take_snapshot(0.0)  # a zero or non-finite start fails here, so some part is live
+    n, width = even.size, len(live)
+    # per live part, one row per snapshot of a window and a chunk of terms
+    # (two of them carried over from the chunk before), in `_WINDOW_BYTES`
+    vectors = _WINDOW_BYTES // (8 * n * width)
+    cap = min(_MAX_WINDOW, max(1, min(vectors // 2, vectors - 3)))
+    rows = np.empty((width, cap, n))
+    terms = np.empty((width, max(3, min(_CHUNK + 2, vectors - cap)), n))
+    chunk = terms.shape[1]
+    added = np.empty((cap, min(_SLAB, n)))
     # product(x, y) adds S' x into y: `signed @ x` calls this kernel on a
     # fresh zeroed array
-    product = partial(csr_matvec, even.size, even.size, signed.indptr, signed.indices, signed.data)
-    out, r1, term = np.empty((3, even.size))
+    product = partial(csr_matvec, n, n, signed.indptr, signed.indices, signed.data)
     expansions = {}
+    products = 0
 
-    def advance(count: int, last_step: float):
-        """Apply RK4's map over ``count`` steps of dt and one of ``last_step``
-        (none when 0.0), as `_rk4_chebyshev` expands it."""
-        nonlocal out
-        key = (count, last_step)
+    def expansion(start: int, stop: int) -> np.ndarray:
+        """`_rk4_chebyshev` of RK4's map from step ``start`` to step ``stop``, cached."""
+        short = stop > n_full  # the span ends in the shortened step
+        key = (stop - start - short, remainder if short else 0.0)
         if key not in expansions:
-            expansions[key] = _rk4_chebyshev(count, last_step, dt, bound)
-        d = expansions[key]
-        for j in live:
-            # sum_k d_k R_k z; R_(k+1) = S' R_k + R_(k-1) overwrites R_(k-1),
-            # which starts as z itself
-            z = parts[j]
-            np.multiply(d[0], z, out=out)
-            if d.size > 1:
-                r1.fill(0.0)
-                product(z, r1)
-                np.multiply(0.5, r1, out=r1)
-            older, last = z, r1
-            for k in range(1, d.size):
-                np.add(out, np.multiply(d[k], last, out=term), out=out)
-                if k + 1 < d.size:
-                    product(last, older)
-                    older, last = last, older
-            parts[j], out = out, z
+            expansions[key] = _rk4_chebyshev(*key, dt, bound)
+        return expansions[key]
 
-    take_snapshot(0.0)
+    def fold(first: int, stop: int, low: int, high: int):
+        """Add terms ``low`` to ``high - 1`` into the window's rows ``first``
+        to ``stop - 1`` (set those rows with the window's first terms), one
+        slab of columns at a time."""
+        block = coefficients[first:stop, low:high]
+        for p in range(width):
+            for c in range(0, n, added.shape[1]):
+                out = rows[p, first:stop, c : c + added.shape[1]]
+                sums = terms[p, low - base : high - base, c : c + added.shape[1]]
+                if low:
+                    np.add(out, np.matmul(block, sums, out=added[: out.shape[0], : out.shape[1]]),
+                           out=out)
+                else:
+                    np.matmul(block, sums, out=out)
+
+    # the step after which each map ends, and its snapshot time (None at the
+    # end of a `_MAX_PIECE` long piece of a longer interval)
+    targets = []
     for start, stop, t in zip(steps[:-1].tolist(), steps[1:].tolist(), times[1:].tolist()):
-        short = stop > n_full  # the interval ends in the shortened step
-        pieces, rest = divmod(stop - start - short, _MAX_PIECE)
-        for _ in range(pieces):
-            advance(_MAX_PIECE, 0.0)
-        if rest or short:
-            advance(rest, remainder if short else 0.0)
-        take_snapshot(t)
+        targets += [(piece, None) for piece in range(start + _MAX_PIECE, stop, _MAX_PIECE)]
+        targets.append((stop, t))
+
+    position = taken = 0
+    while taken < len(targets):
+        # a window: up to `cap` targets within `_MAX_PIECE` steps of the
+        # current one, each needing no more new terms than stepping's products
+        window, size, previous = [], 0, position
+        for stop, t in targets[taken : taken + cap]:
+            if stop - position > _MAX_PIECE:
+                break
+            d = expansion(position, stop)
+            if window and d.size - size > 4 * (stop - previous):
+                break
+            window.append((d, t))
+            size, previous = max(size, d.size), stop
+        taken, position = taken + len(window), previous
+        coefficients = np.zeros((len(window), size))
+        for row, (d, _) in enumerate(window):
+            coefficients[row, : d.size] = d
+
+        # terms[p, r] is R_(base + r) applied to part p; the rows of the
+        # snapshots not yet taken hold the terms before `folded`
+        for p, j in enumerate(live):
+            terms[p, 0] = parts[j]
+        base = folded = 0
+        k = needed = 1
+        for row, (d, t) in enumerate(window):
+            needed = max(needed, d.size)
+            while k < needed:
+                if k - base == chunk:  # add the full chunk in, keeping its last two terms
+                    fold(row, len(window), folded, k)
+                    terms[:, :2] = terms[:, -2:]
+                    base, folded = k - 2, k
+                r = k - base
+                for p in range(width):
+                    if k == 1:  # R_1 z = S' z / 2
+                        terms[p, 1] = 0.0
+                        product(terms[p, 0], terms[p, 1])
+                        terms[p, 1] *= 0.5
+                    else:  # R_k z = S' R_(k-1) z + R_(k-2) z
+                        terms[p, r] = terms[p, r - 2]
+                        product(terms[p, r - 1], terms[p, r])
+                k += 1
+            fold(row, row + 1, folded, k)  # this row's own last terms
+            for p, j in enumerate(live):
+                parts[j] = rows[p, row]
+            if t is not None:
+                take_snapshot(t)
+        products += width * (k - 1)  # one per term after R_0, per part
 
     return Trajectory(
         times=times,
         states=states,
         records=records,
         norm_drift=drift,
+        products=products,
     )
 
 

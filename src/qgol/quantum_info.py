@@ -73,10 +73,15 @@ def _check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray):
-    """-Tr(rho log2 rho) over eigenvalues above `EIGENVALUE_FLOOR`: a float for one
-    matrix, an array for a stack along the leading axes."""
+    """-Tr(rho log2 rho) over eigenvalues more than `EIGENVALUE_FLOOR` from 0 and
+    from 1: a float for one matrix, an array for a stack along the leading axes.
+
+    An eigenvalue within the floor of 1 counts as 1, as one within it of 0
+    counts as 0, so a pure state reads 0 however the eigensolver rounds it.
+    """
     lam = np.linalg.eigvalsh(_check_density_matrix(rho))
-    lam = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)  # 1 log 1 = 0 drops the rest
+    # 1 log 1 = 0 drops both ends
+    lam = np.where((lam > EIGENVALUE_FLOOR) & (lam < 1.0 - EIGENVALUE_FLOOR), lam, 1.0)
     s = np.maximum(-(lam * np.log2(lam)).sum(axis=-1), 0.0)
     return float(s) if s.ndim == 0 else s
 

@@ -334,7 +334,8 @@ def _run_evolve(config: RunConfig, write) -> dict:
                 write(name, [t, *row])
 
     trajectory = _evolve(config, _initial_config(config), observe)
-    return {"snapshots": len(trajectory.times), "norm_drift": trajectory.norm_drift}
+    return {"snapshots": len(trajectory.times), "norm_drift": trajectory.norm_drift,
+            "products": trajectory.products}
 
 
 def _run_discrete(config: RunConfig, write) -> dict:
@@ -353,9 +354,10 @@ def _run_discrete(config: RunConfig, write) -> dict:
 _SCALARS = [f"{name}_equi_{kind}" for kind in ("quantum", "classical") for name in _DISCRETE]
 
 
-def _ensemble_sample(args) -> list:
-    """One ensemble member's `ensemble.csv` row: its index and configuration,
-    its quantum and classical equilibrium scalars (`_SCALARS`), its norm drift."""
+def _ensemble_sample(args) -> tuple[list, int]:
+    """One ensemble member's `ensemble.csv` row (its index and configuration,
+    its quantum and classical equilibrium scalars (`_SCALARS`), its norm
+    drift) and the sparse products its evolution took."""
     config, index = args
     initial = sample_random_fock(config.L, config.rho0, sample_rng(config.seed, index))
 
@@ -372,7 +374,7 @@ def _ensemble_sample(args) -> list:
     for times, values, window in ((inside, quantum, config.window),
                                   (ctraj.times, classical, CLASSICAL_WINDOW)):
         row += (equilibrium_average(times, series, window) for series in zip(*values))
-    return [*row, trajectory.norm_drift]
+    return [*row, trajectory.norm_drift], trajectory.products
 
 
 def _run_ensemble(config: RunConfig, write) -> dict:
@@ -385,17 +387,19 @@ def _run_ensemble(config: RunConfig, write) -> dict:
     a pool of at most one process per sample and per CPU (in-process when
     that is one).  Each sample's ``ensemble`` row is written as it arrives,
     in sample order; the ``ensemble_summary`` table and the summary hold
-    the means and standard errors by scalar name.
+    the means and standard errors by scalar name, and the summary the
+    sparse products of all samples.
     """
     jobs = [(config, k) for k in range(config.samples)]
     workers = min(config.workers, config.samples, os.cpu_count() or 1)
     write("ensemble", ["sample", "config", *_SCALARS, "norm_drift"])
-    scalars = []
+    scalars, products = [], 0
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
-        for row in (pool.map if pool else map)(_ensemble_sample, jobs):
+        for row, count in (pool.map if pool else map)(_ensemble_sample, jobs):
             write("ensemble", row)
             scalars.append(row[2:-1])
+            products += count
     means, errors = {}, {}
     write("ensemble_summary", ["quantity", "mean", "standard_error"])
     for key, column in zip(_SCALARS, zip(*scalars)):
@@ -410,6 +414,7 @@ def _run_ensemble(config: RunConfig, write) -> dict:
         "standard_errors": errors,
         "quantum_window": list(config.window),
         "classical_window": list(CLASSICAL_WINDOW),
+        "products": products,
     }
 
 

@@ -294,6 +294,45 @@ def test_rk4_applies_a_long_interval_in_pieces(monkeypatch):
     _check_against_stepped_rk4(8, "two-sectors", 2.537, 100, 1e-13)
 
 
+def _expansion_spans(monkeypatch):
+    """The (whole steps, shortened step) pairs `evolve_rk4` expands, each once."""
+    spans = []
+    expansion = qgol.dynamics._rk4_chebyshev
+
+    def recording(steps, remainder, dt, bound):
+        spans.append((steps, remainder))
+        return expansion(steps, remainder, dt, bound)
+
+    monkeypatch.setattr(qgol.dynamics, "_rk4_chebyshev", recording)
+    return spans
+
+
+@pytest.mark.parametrize("kind", ["even-fock", "odd-fock", "complex", "two-sectors"])
+@pytest.mark.parametrize(
+    "cap, sample_every, expanded",
+    [
+        (1, 10, {(10, False), (3, True)}),  # one snapshot a window; the short step's alone
+        (2, 10, {(10, False), (20, False), (13, True)}),  # a window of two ends in the short step
+        (3, 10, {(10, False), (20, False), (30, False), (13, True)}),  # windows of exactly 30 steps
+        (16, 12, {(12, False), (24, False), (13, True)}),  # 36 steps would cross 30: two a window
+        # 40-step intervals in pieces of 30; the window after the last piece
+        # holds step 240 and the short step 254
+        (16, 40, {(30, False), (10, False), (23, True)}),
+    ],
+    ids=["one", "two", "three", "cut-at-30", "pieces"],
+)
+def test_rk4_windows_match_the_stepped_complex_rk4(monkeypatch, kind, cap, sample_every, expanded):
+    # 253 whole steps and a shortened last one; a window shares one run of the
+    # recurrence between up to `cap` snapshots within 30 steps of its start,
+    # each expanded from that start, and adds its terms in three at a time
+    monkeypatch.setattr(qgol.dynamics, "_MAX_PIECE", 30)
+    monkeypatch.setattr(qgol.dynamics, "_MAX_WINDOW", cap)
+    monkeypatch.setattr(qgol.dynamics, "_CHUNK", 3)
+    spans = _expansion_spans(monkeypatch)
+    _check_against_stepped_rk4(8, kind, 2.537, sample_every, 1e-13)
+    assert {(steps, remainder > 0) for steps, remainder in spans} == expanded
+
+
 def test_rk4_refuses_a_step_unstable_for_the_bound():
     # at dt*a = 3.2 > 2 sqrt(2) a 25-step expansion's coefficients sum to
     # about 1e9, and its rounding put a snapshot 4e-6 off stepped RK4 while
@@ -339,6 +378,17 @@ def test_rk4_takes_at_most_four_products_per_step(monkeypatch, kind, t_max, samp
     assert np.all(np.diff(counts) <= 4 * np.diff(steps) * live), (np.diff(counts), np.diff(steps))
 
 
+def test_rk4_window_ends_before_a_snapshot_that_would_cost_more_than_stepping(monkeypatch):
+    # on the two-level block (a = 1) some long spans keep far more terms than
+    # their length needs, so the window that would take one of them stops short
+    h = build_hamiltonian(5)
+    count = _counted_products(monkeypatch)
+    counts = []
+    evolve_rk4(h, make_fock_state(SpinConfig.from_string("01010")), 4.0, sample_every=25,
+               observer=lambda t, s: counts.append(count[0]))
+    assert 0 < max(np.diff(counts)) <= 4 * 25, np.diff(counts)
+
+
 def test_rk4_takes_at_most_30_products_per_25_steps_at_l16(monkeypatch):
     h = build_hamiltonian(16)
     initial = make_fock_state(SpinConfig.from_string("1001101011100101"))
@@ -348,6 +398,31 @@ def test_rk4_takes_at_most_30_products_per_25_steps_at_l16(monkeypatch):
                observer=lambda t, s: counts.append(count[0]))
     assert len(counts) == 5
     assert 0 < max(np.diff(counts)) <= 30, np.diff(counts)
+
+
+@pytest.mark.parametrize(
+    "L, bits, t_max, most, per_interval",
+    [(16, "1001101011100101", 30.0, 1000, 2280), (20, "00001110001111001000", 10.0, 400, 880)],
+    ids=["l16", "l20-benchmark-large"],
+)
+def test_rk4_windows_share_the_expansion_tail(monkeypatch, L, bits, t_max, most, per_interval):
+    # one expansion per 25-step interval took `per_interval` products, about
+    # 16 of them its tail; a window of 16 snapshots pays the tail once
+    h = build_hamiltonian(L)
+    count = _counted_products(monkeypatch)
+    tr = evolve_rk4(h, make_fock_state(SpinConfig.from_string(bits)), t_max, sample_every=25,
+                    keep_states=False)
+    assert tr.products == count[0] <= most < per_interval
+
+
+@pytest.mark.parametrize("kind, live", [("even-fock", 1), ("odd-fock", 1), ("complex", 2)])
+@pytest.mark.parametrize("t_max, sample_every", [(2.537, 7), (2.537, 1 << 30), (0.0, 1)])
+def test_trajectory_counts_its_sparse_products(monkeypatch, kind, live, t_max, sample_every):
+    h = build_hamiltonian(10)
+    count = _counted_products(monkeypatch)
+    tr = evolve_rk4(h, _start(kind, 10), t_max, sample_every=sample_every)
+    assert tr.products == count[0]
+    assert tr.products % live == 0 and (tr.products > 0) == (t_max > 0)
 
 
 def _expansion_bounds(monkeypatch):

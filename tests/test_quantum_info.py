@@ -93,6 +93,17 @@ def test_entropy_examples():
     assert von_neumann_entropy(np.diag([0.25] * 4)) == pytest.approx(2.0)
 
 
+def test_entropy_of_a_pure_state_is_zero_however_the_eigensolver_rounds(monkeypatch):
+    # a stacked eigvalsh returned 1 - 2**-53 for a pure 2x2 state under one
+    # BLAS thread count and 1 under another; within the floor of 1 counts as 1
+    def rounded(rho):
+        return np.broadcast_to([0.0, 1.0 - 2.0**-53], rho.shape[:-1]).copy()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", rounded)
+    assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
+    assert np.array_equal(von_neumann_entropy(np.array([np.diag([0.0, 1.0])] * 3)), np.zeros(3))
+
+
 def test_entropy_validation():
     with pytest.raises(ValueError):
         von_neumann_entropy(np.array([[0.5, 0.1], [0.0, 0.5]]))

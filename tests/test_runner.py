@@ -24,6 +24,7 @@ from qgol import (
 import qgol
 from qgol.cli import main, read_config_file
 from qgol.runner import MEASURES, sample_rng
+from test_dynamics import _counted_products
 
 
 def test_sample_random_fock_extremes(rng):
@@ -370,6 +371,21 @@ def test_ensemble_observes_only_the_snapshots_it_averages(tmp_path, monkeypatch)
                         lambda state: calls.append(state) or population(state))
     run(RunConfig(kind="ensemble", L=8, rho0=0.5, samples=2, seed=3, out_dir=str(tmp_path)))
     assert len(calls) == 2 * 21
+
+
+def test_manifest_reports_the_sparse_products_of_the_run(tmp_path, monkeypatch):
+    # evolve reports its trajectory's products, an ensemble the sum over its samples
+    count = _counted_products(monkeypatch)
+    evolve = run(RunConfig(kind="evolve", L=10, initial="0001101100", t_max=2.0,
+                           sample_every=25, out_dir=str(tmp_path / "evolve")))
+    assert evolve["summary"]["products"] == count[0] > 0
+    base = dict(kind="ensemble", L=8, rho0=0.5, samples=3, seed=3, t_max=2.0, sample_every=20,
+                window=(1.0, 2.0))
+    count[0] = 0
+    serial = run(RunConfig(out_dir=str(tmp_path / "serial"), **base))
+    assert serial["summary"]["products"] == count[0] > 0
+    pooled = run(RunConfig(out_dir=str(tmp_path / "pooled"), workers=2, **base))
+    assert pooled["summary"]["products"] == serial["summary"]["products"]
 
 
 #: A small run of each kind, with the CSVs it writes in the order it writes them.
@@ -832,6 +848,11 @@ _L22 = ["--length", "22", "--initial", "00" + "101100101100110100" + "00"]
         pytest.param(
             ["evolve", "--length", "24", "--initial", "001011001011001101001000",
              "--tmax", "0.05"], 450, id="evolve-l24",
+        ),
+        # windows of snapshots share one recurrence; its rows and terms fit a fixed budget
+        pytest.param(
+            ["evolve", "--length", "24", "--initial", "001011001011001101001000",
+             "--tmax", "0.3", "--sample-every", "5"], 450, id="evolve-l24-windows",
         ),
         # the stroboscopic step holds 22 single-site spinors, never a 2**22 vector
         pytest.param(["strobe", *_L22, "--steps", "5"], 150, id="strobe"),
